@@ -1,6 +1,5 @@
 //! Regenerates every table and figure from the paper next to our
-//! measured values. The output of this binary is the source of
-//! EXPERIMENTS.md.
+//! measured values, one `## En` section per experiment.
 //!
 //! Run with: `cargo run --release -p pathalias-bench --bin experiments`
 
@@ -81,8 +80,7 @@ fn main() {
 }
 
 /// E16: ablate each heuristic individually and measure its effect on
-/// the routes a 3,000-host world produces (the design-choice ablation
-/// DESIGN.md §3 calls for).
+/// the routes a 3,000-host world produces.
 fn e16_heuristic_ablation() {
     header("E16", "heuristic ablation: what each penalty buys");
     let (g, home) = sparse_world(3_000, 5);

@@ -1,7 +1,8 @@
 //! Shared fixtures for the benchmark and experiment harness.
 //!
-//! DESIGN.md §3 maps every table and figure in the paper to a bench
-//! target; this crate holds the workload builders they share.
+//! The `experiments` binary regenerates every table and figure in the
+//! paper (experiments E1–E17) and the benches time the hot paths; this
+//! crate holds the workload builders they share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -10,10 +10,12 @@
 //! server — freezes once and calls the `*_frozen` entry points.
 
 use crate::cost_model::CostModel;
-use crate::tree::{Label, MapStats, ShortestPathTree, TraceDecision, TraceEvent};
-use pathalias_graph::{
-    Cost, Dir, EdgeId, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeFlags, NodeId,
+use crate::kernel::{
+    self, pack_key, Key, Offer, Tail, AMBIGUOUS, HAS_LEFT, HAS_RIGHT, LABELLED, MAPPED, NO_PRED,
+    TAINTED, VIA_BACK,
 };
+use crate::tree::{Label, MapStats, ShortestPathTree, TraceDecision, TraceEvent};
+use pathalias_graph::{Cost, EdgeId, FrozenEdge, FrozenGraph, Graph, LinkFlags, NodeId};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::fmt;
@@ -55,51 +57,11 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-/// The heap key, packed into one `u128`: cost in the high 64 bits,
-/// then visible hops, then the node id — totally ordered, so
-/// extraction order and therefore output are deterministic, and small
-/// enough that a heap slot is one 16-byte move.
-type Key = u128;
-
-#[inline]
-fn pack_key(cost: Cost, hops: u32, node: u32) -> Key {
-    ((cost as u128) << 64) | ((hops as u128) << 32) | node as u128
-}
-
-/// Per-node path-state bits, packed so the hot loop's visit state is
-/// one byte per node (the full [`Label`] is materialized once, at the
-/// end of the run).
-const LABELLED: u8 = 1 << 0;
-const HAS_LEFT: u8 = 1 << 1;
-const HAS_RIGHT: u8 = 1 << 2;
-const TAINTED: u8 = 1 << 3;
-const VIA_BACK: u8 = 1 << 4;
-const AMBIGUOUS: u8 = 1 << 5;
-const MAPPED: u8 = 1 << 6;
-
-/// The source's predecessor sentinel (only the source has no pred).
-const NO_PRED: (u32, u32) = (u32::MAX, u32::MAX);
-
-/// Everything the relaxation needs about the tail node, loaded once
-/// per heap extraction instead of once per edge.
-struct Tail {
-    u: NodeId,
-    cost: Cost,
-    hops: u32,
-    state: u8,
-    /// The edge that reached `u` (for the network-exit operator rule).
-    pred_edge: Option<EdgeId>,
-    is_domain: bool,
-    /// Edges out of the source use raw costs when the source carries
-    /// an `adjust` bias (the bias was folded in at freeze time).
-    use_raw: bool,
-    /// Dead-host penalty owed by every edge out of `u`.
-    dead_extra: Cost,
-}
-
 /// Shared relaxation state for both algorithm variants: labels kept as
 /// dense parallel arrays (struct-of-arrays), so the common "candidate
-/// is worse" outcome touches two words, not a whole label.
+/// is worse" outcome touches two words, not a whole label. The
+/// per-node path state is one byte of [`kernel`] bits (the full
+/// [`Label`] is materialized once, at the end of the run).
 struct Run<'g> {
     f: &'g FrozenGraph,
     model: CostModel,
@@ -117,17 +79,6 @@ struct Run<'g> {
     tracing: bool,
     trace_set: HashSet<NodeId>,
     trace: Vec<TraceEvent>,
-}
-
-/// Outcome of relaxing one edge.
-enum Relaxed {
-    /// New label with a strictly smaller key: heap must push or
-    /// decrease.
-    Improved(Key),
-    /// Label rewritten on an exact tie (no key change) or not improved.
-    NoKeyChange,
-    /// Edge skipped entirely.
-    Skipped,
 }
 
 impl<'g> Run<'g> {
@@ -152,199 +103,71 @@ impl<'g> Run<'g> {
             trace_set: opts.trace.iter().copied().collect(),
             trace: Vec::new(),
         };
-        run.state[source.index()] = LABELLED | if f.is_domain(source) { TAINTED } else { 0 };
+        run.state[source.index()] = kernel::source_state(f, source);
         Ok(run)
     }
 
-    /// Loads the tail-side relaxation context for `u` (which must be
-    /// labelled).
+    /// Loads the relaxation context for `u` (which must be labelled).
     fn tail(&self, u: NodeId) -> Tail {
         let i = u.index();
-        let pred = self.pred[i];
-        let is_source = u == self.source;
-        let uflags = self.f.flags(u);
-        Tail {
+        Tail::new(
+            self.f,
+            &self.model,
+            self.source,
             u,
-            cost: (self.key[i] >> 64) as Cost,
-            hops: (self.key[i] >> 32) as u32,
-            state: self.state[i],
-            pred_edge: (pred != NO_PRED).then(|| EdgeId::from_raw(pred.1)),
-            is_domain: uflags.contains(NodeFlags::DOMAIN),
-            use_raw: is_source && self.f.adjust(u) != 0,
-            dead_extra: if !is_source && uflags.contains(NodeFlags::DEAD) {
-                self.model.dead_penalty
-            } else {
-                0
-            },
-        }
+            self.key[i],
+            self.pred[i],
+            self.state[i],
+        )
     }
 
-    /// Whether entering gated node `v` over the edge counts as going
-    /// through a gateway. See DESIGN.md §4 for the rule table.
+    /// Relaxes the frozen edge `e_raw` (= `edge`) out of `tail`:
+    /// [`kernel::step`] then [`kernel::offer`], with this run's skips,
+    /// counters and trace around them. Returns the new key when the
+    /// head must be (re)queued. The caller accounts
+    /// `stats.relaxations` once per adjacency run.
     #[inline]
-    fn gateway_exempt(&self, tail: &Tail, eflags: LinkFlags, v_is_domain: bool) -> bool {
-        eflags.contains(LinkFlags::GATEWAY)
-            || eflags.contains(LinkFlags::ALIAS)
-            // Parent network/domain exiting into a gated member: the
-            // parent is the member's gateway.
-            || eflags.contains(LinkFlags::NET_OUT)
-            // A (non-domain) host member entering its own domain.
-            || (eflags.contains(LinkFlags::NET_IN) && v_is_domain && !tail.is_domain)
-            // An explicitly written link into a gated net declares its
-            // writer a gateway (how `seismo .edu(DEDICATED)` works).
-            || (eflags.is_explicit() && !tail.is_domain)
-    }
-
-    /// The operator side of the *visible hop* this edge appends, if
-    /// any. Alias and network-entry edges append nothing; network-exit
-    /// edges use "the ones encountered when entering the network". The
-    /// relaxation never needs the operator character, only its side.
-    #[inline]
-    fn visible_dir(&self, tail: &Tail, edge: FrozenEdge) -> Option<Dir> {
-        let eflags = edge.flags();
-        if eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_IN) {
-            return None;
-        }
-        if eflags.contains(LinkFlags::NET_OUT) {
-            let entering = tail
-                .pred_edge
-                .map(|pe| self.f.edge(pe).dir())
-                .unwrap_or_else(|| edge.dir());
-            return Some(entering);
-        }
-        Some(edge.dir())
-    }
-
-    /// Relaxes the frozen edge `e_raw` (= `edge`) out of `tail`. The
-    /// caller accounts `stats.relaxations` once per adjacency run.
-    #[inline]
-    fn relax(&mut self, tail: &Tail, e_raw: u32, edge: FrozenEdge) -> Relaxed {
+    fn relax(&mut self, tail: &Tail, e_raw: u32, edge: FrozenEdge) -> Option<Key> {
         let v = edge.to();
         let vi = v.index();
         let vstate = self.state[vi];
-        if vstate & MAPPED != 0 {
-            return Relaxed::Skipped;
+        if vstate & MAPPED != 0 || (self.exclude_domains && self.f.is_domain(v)) {
+            return None;
         }
-        let vflags = self.f.flags(v);
-        let v_is_domain = vflags.contains(NodeFlags::DOMAIN);
-        if self.exclude_domains && v_is_domain {
-            return Relaxed::Skipped;
-        }
-        let eflags = edge.flags();
+        let step = kernel::step(self.f, &self.model, tail, e_raw, edge);
+        self.stats.gate_penalties += u64::from(step.gate_rule);
+        self.stats.relay_penalties += u64::from(step.relay_rule);
+        self.stats.ambiguous_hops += u64::from(step.ambiguous);
+        self.stats.mixed_penalties += u64::from(step.mixed > 0);
 
-        // Base weight: the tail's `adjust` bias was folded in at freeze
-        // time; edges leaving the *source* must use the raw cost.
-        let base = if tail.use_raw {
-            self.f.edge_raw_cost(EdgeId::from_raw(e_raw))
-        } else {
-            edge.cost()
-        };
-
-        // Heuristic penalties.
-        let mut gate = 0;
-        let mut relay = 0;
-        let mut mixed = 0;
-        let mut extra = tail.dead_extra;
-        if eflags.contains(LinkFlags::DEAD) {
-            extra += self.model.dead_link_penalty;
-        }
-        if vflags.intersects(NodeFlags::DOMAIN | NodeFlags::GATED)
-            && !self.gateway_exempt(tail, eflags, v_is_domain)
-        {
-            gate = self.model.gate_penalty;
-            self.stats.gate_penalties += 1;
-        }
-        if tail.state & TAINTED != 0 && !eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_OUT) {
-            relay = self.model.relay_penalty;
-            self.stats.relay_penalties += 1;
-        }
-
-        let vis = self.visible_dir(tail, edge);
-        let mut cand_state = (tail.state & !MAPPED) | LABELLED;
-        if let Some(dir) = vis {
-            match dir {
-                Dir::Left => {
-                    // `!` applied after `@` builds an address UUCP
-                    // mailers misparse: always penalized, and recorded
-                    // even when the penalty is configured to zero.
-                    if tail.state & HAS_RIGHT != 0 {
-                        mixed = self.model.mixed_penalty;
-                        cand_state |= AMBIGUOUS;
-                        self.stats.ambiguous_hops += 1;
-                    }
-                    cand_state |= HAS_LEFT;
-                }
-                Dir::Right => {
-                    // The classic `bang!path!%s@host` form is tolerated
-                    // unless strict mode penalizes all mixing.
-                    if self.model.strict_mixed && tail.state & HAS_LEFT != 0 {
-                        mixed = self.model.mixed_penalty;
-                    }
-                    cand_state |= HAS_RIGHT;
-                }
-            }
-            if mixed > 0 {
-                self.stats.mixed_penalties += 1;
-            }
-        }
-        if v_is_domain {
-            cand_state |= TAINTED;
-        }
-        if eflags.contains(LinkFlags::BACK) {
-            cand_state |= VIA_BACK;
-        }
-
-        let cand_cost = tail
-            .cost
-            .saturating_add(base)
-            .saturating_add(gate)
-            .saturating_add(relay)
-            .saturating_add(mixed)
-            .saturating_add(extra);
-        let cand_hops = tail.hops + u32::from(vis.is_some());
-        let cand_key = pack_key(cand_cost, cand_hops, v.raw());
-        let cand_pred = (tail.u.raw(), e_raw);
-
-        let (outcome, decision) = if vstate & LABELLED == 0 {
-            self.key[vi] = cand_key;
-            self.pred[vi] = cand_pred;
-            self.state[vi] = cand_state;
-            (Relaxed::Improved(cand_key), TraceDecision::Accepted)
-        } else {
-            let old = self.key[vi];
-            if cand_key < old {
-                self.key[vi] = cand_key;
-                self.pred[vi] = cand_pred;
-                self.state[vi] = cand_state;
-                (Relaxed::Improved(cand_key), TraceDecision::Accepted)
-            } else if cand_key == old {
-                // Deterministic tie break independent of visit order:
-                // smaller (pred id, edge id) wins.
-                if cand_pred < self.pred[vi] {
-                    self.pred[vi] = cand_pred;
-                    self.state[vi] = cand_state;
-                    (Relaxed::NoKeyChange, TraceDecision::Accepted)
-                } else {
-                    (Relaxed::NoKeyChange, TraceDecision::TieKept)
-                }
-            } else {
-                (Relaxed::NoKeyChange, TraceDecision::Worse)
-            }
-        };
+        let cand_key = step.key(v);
+        let offer = kernel::offer(
+            &mut self.key[vi],
+            &mut self.pred[vi],
+            &mut self.state[vi],
+            vstate & LABELLED != 0,
+            cand_key,
+            (tail.u.raw(), e_raw),
+            step.state,
+        );
         if self.tracing && (self.trace_set.contains(&v) || self.trace_set.contains(&tail.u)) {
             self.trace.push(TraceEvent {
                 from: tail.u,
                 to: v,
                 link: EdgeId::from_raw(e_raw),
-                base,
-                gate,
-                relay,
-                mixed,
-                candidate: cand_cost,
-                decision,
+                base: step.base,
+                gate: step.gate,
+                relay: step.relay,
+                mixed: step.mixed,
+                candidate: step.cost,
+                decision: match offer {
+                    Offer::Improved | Offer::TieWon => TraceDecision::Accepted,
+                    Offer::TieKept => TraceDecision::TieKept,
+                    Offer::Worse => TraceDecision::Worse,
+                },
             });
         }
-        outcome
+        (offer == Offer::Improved).then_some(cand_key)
     }
 
     /// Materializes the packed run state into the public tree labels.
@@ -359,8 +182,8 @@ impl<'g> Run<'g> {
                 }
                 let pred = self.pred[i];
                 Some(Label {
-                    cost: (self.key[i] >> 64) as Cost,
-                    hops: (self.key[i] >> 32) as u32,
+                    cost: kernel::key_cost(self.key[i]),
+                    hops: kernel::key_hops(self.key[i]),
                     pred: (pred != NO_PRED)
                         .then(|| (NodeId::from_raw(pred.0), EdgeId::from_raw(pred.1))),
                     has_left: st & HAS_LEFT != 0,
@@ -417,7 +240,7 @@ pub fn map_frozen_readonly(
         let (base_edge, row) = f.edge_slice(u);
         run.stats.relaxations += row.len() as u64;
         for (i, &edge) in row.iter().enumerate() {
-            if let Relaxed::Improved(key) = run.relax(&tail, base_edge + i as u32, edge) {
+            if let Some(key) = run.relax(&tail, base_edge + i as u32, edge) {
                 heap.push(Reverse(key));
                 run.stats.pushes += 1;
             }
@@ -456,7 +279,7 @@ pub fn map_frozen_quadratic_readonly(
         let (base_edge, row) = f.edge_slice(u);
         run.stats.relaxations += row.len() as u64;
         for (i, &edge) in row.iter().enumerate() {
-            let _ = run.relax(&tail, base_edge + i as u32, edge);
+            run.relax(&tail, base_edge + i as u32, edge);
         }
     }
     Ok(run.finish(f.clone()))
@@ -670,7 +493,7 @@ pub fn repair_frozen(
         let (base_edge, row) = graph.edge_slice(u);
         run.stats.relaxations += row.len() as u64;
         for (i, &edge) in row.iter().enumerate() {
-            if let Relaxed::Improved(key) = run.relax(&tail, base_edge + i as u32, edge) {
+            if let Some(key) = run.relax(&tail, base_edge + i as u32, edge) {
                 heap.push(Reverse(key));
                 run.stats.pushes += 1;
             }
@@ -741,6 +564,29 @@ mod tests {
 
     fn ids(g: &Graph, names: &[&str]) -> Vec<NodeId> {
         names.iter().map(|n| g.try_node(n).unwrap()).collect()
+    }
+
+    /// The penalty counters the CLI prints, in order: gate, relay,
+    /// mixed, plus the ambiguous-hop count.
+    fn penalty_counts(t: &ShortestPathTree) -> [u64; 4] {
+        let s = &t.stats;
+        [
+            s.gate_penalties,
+            s.relay_penalties,
+            s.mixed_penalties,
+            s.ambiguous_hops,
+        ]
+    }
+
+    /// The traced relaxation `from -> to`, as (base, gate, relay,
+    /// mixed, candidate).
+    fn traced(t: &ShortestPathTree, from: NodeId, to: NodeId) -> (Cost, Cost, Cost, Cost, Cost) {
+        let e = t
+            .trace
+            .iter()
+            .find(|e| e.from == from && e.to == to)
+            .expect("relaxation traced");
+        (e.base, e.gate, e.relay, e.mixed, e.candidate)
     }
 
     #[test]
@@ -885,11 +731,31 @@ gateway {GNET!g}
 ";
         let g = parse(text).unwrap();
         let v = ids(&g, &["a", "x", "g", "GNET", "y"]);
-        let t = map(&g, v[0], &MapOptions::default()).unwrap();
+        let opts = MapOptions {
+            trace: vec![v[3]],
+            ..MapOptions::default()
+        };
+        let t = map(&g, v[0], &opts).unwrap();
         // Entering via member x is penalized; via gateway g is not.
         assert_eq!(t.cost(v[3]), Some(30), "a->g->GNET");
         assert_eq!(t.cost(v[4]), Some(30), "y via the gateway");
-        assert!(t.stats.gate_penalties > 0);
+        assert_eq!(penalty_counts(&t), [1, 0, 0, 0]);
+        assert_eq!(traced(&t, v[1], v[3]), (10, INF, 0, 0, 20 + INF));
+        assert_eq!(traced(&t, v[2], v[3]), (20, 0, 0, 0, 30));
+
+        // A zero penalty no longer steers the route, but the rule still
+        // fires: the counter counts firings, not nonzero amounts.
+        let free = MapOptions {
+            model: CostModel {
+                gate_penalty: 0,
+                ..CostModel::default()
+            },
+            ..opts
+        };
+        let t = map(&g, v[0], &free).unwrap();
+        assert_eq!(t.cost(v[3]), Some(20), "a->x->GNET");
+        assert_eq!(penalty_counts(&t), [1, 0, 0, 0]);
+        assert_eq!(traced(&t, v[1], v[3]), (10, 0, 0, 0, 20));
     }
 
     #[test]
@@ -929,7 +795,13 @@ gateway {GNET!g}
         let text = "a caip(10)\ncaip .rutgers.edu(20)\n.rutgers.edu = {blue}(0)\nblue far(10)\n";
         let g = parse(text).unwrap();
         let v = ids(&g, &["a", "blue", "far"]);
-        let t = map(&g, v[0], &MapOptions::default()).unwrap();
+        let opts = MapOptions {
+            trace: vec![v[2]],
+            ..MapOptions::default()
+        };
+        let t = map(&g, v[0], &opts).unwrap();
+        assert_eq!(penalty_counts(&t), [0, 1, 0, 0]);
+        assert_eq!(traced(&t, v[1], v[2]), (10, 0, INF, 0, 40 + INF));
         assert_eq!(t.cost(v[1]), Some(30), "blue via the domain is fine");
         assert!(
             t.cost(v[2]).unwrap() >= INF,
@@ -943,10 +815,19 @@ gateway {GNET!g}
         // a -@-> b -!-> c: the ! hop lands after an @ hop.
         let g = parse("a @b(10)\nb c(10)\n").unwrap();
         let v = ids(&g, &["a", "b", "c"]);
-        let t = map(&g, v[0], &MapOptions::default()).unwrap();
-        let m = MapOptions::default().model;
+        let opts = MapOptions {
+            trace: vec![v[2]],
+            ..MapOptions::default()
+        };
+        let t = map(&g, v[0], &opts).unwrap();
+        let m = opts.model;
         assert_eq!(t.cost(v[2]), Some(20 + m.mixed_penalty));
-        assert_eq!(t.stats.mixed_penalties, 1);
+        assert_eq!(penalty_counts(&t), [0, 0, 1, 1]);
+        assert_eq!(
+            traced(&t, v[1], v[2]),
+            (10, 0, 0, m.mixed_penalty, 20 + m.mixed_penalty)
+        );
+        assert!(t.label(v[2]).unwrap().ambiguous);
     }
 
     #[test]
@@ -956,6 +837,7 @@ gateway {GNET!g}
         let v = ids(&g, &["a", "b", "c"]);
         let t = map(&g, v[0], &MapOptions::default()).unwrap();
         assert_eq!(t.cost(v[2]), Some(20), "no penalty by default");
+        assert_eq!(penalty_counts(&t), [0, 0, 0, 0]);
 
         let strict = MapOptions {
             model: CostModel {
@@ -970,6 +852,9 @@ gateway {GNET!g}
             Some(20 + strict.model.mixed_penalty),
             "strict mode penalizes any mixing"
         );
+        // Penalized, but not ambiguous: `@` after `!` parses fine.
+        assert_eq!(penalty_counts(&t), [0, 0, 1, 0]);
+        assert!(!t.label(v[2]).unwrap().ambiguous);
     }
 
     #[test]

@@ -21,6 +21,10 @@
 //! * [`CostModel`] — the routing heuristics layered on edge weights:
 //!   the mixed-syntax penalty, gatewayed networks and domains, and the
 //!   domain relay restriction;
+//! * [`kernel`] — those heuristics as code, defined once: the
+//!   relaxation step, label order and tie break, and the static lower
+//!   bounds every search in the workspace (this crate's and the
+//!   point-to-point router's) shares;
 //! * back links: "we examine the connections out of each unreachable
 //!   host, invent links from its neighbors back to the host, and
 //!   continue" — realized as augmented frozen snapshots, so mapping
@@ -50,6 +54,7 @@ mod cost_model;
 mod dijkstra;
 mod dual;
 pub mod heap;
+pub mod kernel;
 pub mod parallel;
 mod tree;
 

@@ -54,4 +54,4 @@ mod traverse;
 
 pub use output::{render, write_routes, PrintOptions, Sort};
 pub use route::{Route, RouteKind, RouteTable};
-pub use traverse::{compute_routes, update_routes};
+pub use traverse::{compute_routes, route_step, update_routes};

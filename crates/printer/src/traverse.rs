@@ -13,7 +13,7 @@
 //! the labels' edge ids refer to, back-link augmentations included).
 
 use crate::route::{Route, RouteKind, RouteTable};
-use pathalias_graph::{FrozenGraph, LinkFlags, NodeFlags, NodeId, RouteOp};
+use pathalias_graph::{EdgeId, FrozenGraph, LinkFlags, NodeFlags, NodeId};
 use pathalias_mapper::ShortestPathTree;
 
 /// Computes the route for every node the tree reached.
@@ -186,8 +186,8 @@ fn traverse(
     }
 }
 
-/// The recursion step: the (route, name) a child inherits from its tree
-/// parent's (route, name).
+/// The recursion step over a tree edge: looks up the edge into `child`
+/// and the edge that entered `node`, then applies [`route_step`].
 fn child_step(
     f: &FrozenGraph,
     tree: &ShortestPathTree,
@@ -197,6 +197,22 @@ fn child_step(
     child: NodeId,
 ) -> Option<(String, String)> {
     let (_, edge) = tree.label(child)?.pred?;
+    let entering = tree.label(node).and_then(|l| l.pred).map(|(_, e)| e);
+    Some(route_step(f, node, route, name, child, edge, entering))
+}
+
+/// The recursion step: the (route, name) `child` inherits from its
+/// parent `node`'s (route, name) over `edge`. `entering` is the edge
+/// that reached `node` (`None` at the root).
+pub fn route_step(
+    f: &FrozenGraph,
+    node: NodeId,
+    route: &str,
+    name: &str,
+    child: NodeId,
+    edge: EdgeId,
+    entering: Option<EdgeId>,
+) -> (String, String) {
     let eflags = f.edge_flags(edge);
 
     // Domain-name synthesis: "the name of the domain is appended to the
@@ -216,41 +232,23 @@ fn child_step(
         // parent."
         route.to_string()
     } else {
-        let op = effective_op(
-            f,
-            tree,
-            node,
-            f.edge_op(edge),
-            eflags.contains(LinkFlags::NET_OUT),
-        );
-        op.splice(route, &child_name)
+        // "When traversing a network-to-member edge, the routing
+        // character and direction are the ones encountered when
+        // entering the network" — so different gateways can impose
+        // different syntax.
+        let op_edge = match entering {
+            Some(entering) if eflags.contains(LinkFlags::NET_OUT) => entering,
+            _ => edge,
+        };
+        f.edge_op(op_edge).splice(route, &child_name)
     };
-    Some((child_route, child_name))
-}
-
-/// "When traversing a network-to-member edge, the routing character and
-/// direction are the ones encountered when entering the network." Also
-/// applies to any edge leaving a network or domain node, so different
-/// gateways can impose different syntax.
-fn effective_op(
-    f: &FrozenGraph,
-    tree: &ShortestPathTree,
-    parent: NodeId,
-    edge_op: RouteOp,
-    net_out: bool,
-) -> RouteOp {
-    if net_out {
-        if let Some(Some((_, entering))) = tree.label(parent).map(|l| l.pred) {
-            return f.edge_op(entering);
-        }
-    }
-    edge_op
+    (child_route, child_name)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathalias_graph::Graph;
+    use pathalias_graph::{Graph, RouteOp};
     use pathalias_mapper::{map, MapOptions};
     use pathalias_parser::parse;
 

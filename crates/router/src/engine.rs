@@ -2,10 +2,9 @@
 //! pool of reusable search state, answering `src → dst` queries.
 
 use crate::route::{format_route, PathAnswer};
-use crate::search::{
-    ch_weights, search, search_ch, Scratch, SearchStats, AMBIGUOUS, NO_PRED, TAINTED, VIA_BACK,
-};
+use crate::search::{search, search_ch, Scratch, SearchStats};
 use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, NodeId, ReverseGraph};
+use pathalias_mapper::kernel::{ch_weights, AMBIGUOUS, NO_PRED, TAINTED, VIA_BACK};
 use pathalias_mapper::CostModel;
 use std::fmt;
 use std::sync::{Arc, Mutex};

@@ -14,8 +14,11 @@
 //! `PATH src dst` answer are identical to what the daemon would serve
 //! from the shortest-path tree rooted at `src`. That makes the engine
 //! safe to serve next to tree-backed resolvers — two code paths, one
-//! answer. The parity is enforced three ways: the forward side reuses
-//! the mapper's relaxation arithmetic and tie-breaking verbatim; each
+//! answer. The parity is enforced three ways: there is one rulebook —
+//! every relaxation, label write and lower bound calls
+//! [`pathalias_mapper::kernel`], and routes are spliced by
+//! [`pathalias_printer::route_step`], so this crate holds search
+//! strategies and no routing rules; each
 //! pruned run *certifies* that no dropped candidate could have touched
 //! the answer's chain, falling back to the plain forward oracle on the
 //! rare queries where it cannot (the mapper's state-dependent
@@ -69,5 +72,6 @@ mod route;
 mod search;
 
 pub use engine::{PointToPoint, RouteError, ViaEntry};
+pub use pathalias_mapper::kernel::ch_weights;
 pub use route::PathAnswer;
-pub use search::{ch_weights, SearchStats};
+pub use search::SearchStats;

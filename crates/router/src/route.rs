@@ -3,14 +3,13 @@
 //! The printer labels the whole shortest-path tree in one preorder
 //! traversal (`pathalias_printer::compute_routes`); a point-to-point
 //! answer only needs the label of one leaf, so this module walks the
-//! single `src ⤳ dst` chain applying the *same* combination rules —
-//! alias and network edges inherit the parent's route unchanged, a
-//! network-exit edge reuses the operator the path entered the network
-//! with, and a domain's successors get the domain name appended. The
-//! result is byte-identical to the printer's route for `dst` in the
-//! tree rooted at `src` (the parity tests assert exactly that).
+//! single `src ⤳ dst` chain through the printer's own recursion step
+//! ([`route_step`]). The result is byte-identical to the printer's
+//! route for `dst` in the tree rooted at `src` (the parity tests
+//! assert exactly that).
 
-use pathalias_graph::{Cost, EdgeId, FrozenGraph, LinkFlags, NodeId};
+use pathalias_graph::{Cost, EdgeId, FrozenGraph, NodeId};
+use pathalias_printer::route_step;
 
 /// A fully resolved point-to-point answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,8 +38,8 @@ pub struct PathAnswer {
 }
 
 /// Formats the route template and printable destination name for the
-/// node/edge chain `nodes` / `edges` (as produced by a search), using
-/// the printer's combination rules.
+/// node/edge chain `nodes` / `edges` (as produced by a search). On a
+/// chain, the edge that entered `nodes[i]` is simply `edges[i - 1]`.
 pub(crate) fn format_route(
     f: &FrozenGraph,
     nodes: &[NodeId],
@@ -50,40 +49,8 @@ pub(crate) fn format_route(
     let mut route = "%s".to_string();
     let mut name = f.name(nodes[0]).to_string();
     for (i, &edge) in edges.iter().enumerate() {
-        let parent = nodes[i];
-        let child = nodes[i + 1];
-        let eflags = f.edge_flags(edge);
-
-        // Domain-name synthesis: "the name of the domain is appended to
-        // the name of its successor".
-        let child_name = if f.is_domain(parent) {
-            format!("{}{}", f.name(child), name)
-        } else {
-            f.name(child).to_string()
-        };
-
-        let child_route = if eflags.contains(LinkFlags::ALIAS) {
-            // Aliases splice nothing: the predecessor's name is the one
-            // on the wire.
-            route.clone()
-        } else if f.is_net(child) {
-            // "The route to a network is identical to the route to its
-            // parent."
-            route.clone()
-        } else {
-            // "When traversing a network-to-member edge, the routing
-            // character and direction are the ones encountered when
-            // entering the network" — the parent's own entering edge,
-            // which on this chain is simply the previous edge.
-            let op = if eflags.contains(LinkFlags::NET_OUT) && i > 0 {
-                f.edge_op(edges[i - 1])
-            } else {
-                f.edge_op(edge)
-            };
-            op.splice(&route, &child_name)
-        };
-        route = child_route;
-        name = child_name;
+        let entering = i.checked_sub(1).map(|j| edges[j]);
+        (route, name) = route_step(f, nodes[i], &route, &name, nodes[i + 1], edge, entering);
     }
     (route, name)
 }

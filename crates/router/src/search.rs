@@ -6,11 +6,9 @@
 //! predecessor chain — same cost, same visible-hop count, same path
 //! state bits, same tie-broken predecessors. That is the whole game:
 //! a `PATH src dst` answer must agree with the tree the daemon would
-//! print from `src`, so this module replicates the mapper's relaxation
-//! arithmetic exactly (adjust folding with the raw-cost source
-//! exemption, gateway exemptions, the domain relay restriction, dead
-//! host/link penalties, mixed-syntax state, and the
-//! `(cost, hops, node)` key order with the `(pred, edge)` tie break).
+//! print from `src`, so every relaxation, label write and lower bound
+//! here calls the mapper's own rules in [`pathalias_mapper::kernel`];
+//! this module only decides *which* candidates to evaluate.
 //!
 //! # How the bidirectional variant stays exact
 //!
@@ -70,35 +68,17 @@
 //! the backward search can improve nothing and freezes, leaving its
 //! last top as the floor bound for every node it never settled.
 
-use pathalias_graph::{
-    ChIndex, Cost, Dir, EdgeId, FrozenEdge, FrozenGraph, LinkFlags, NodeFlags, NodeId, ReverseGraph,
+use pathalias_graph::{ChIndex, Cost, EdgeId, FrozenGraph, NodeId, ReverseGraph};
+use pathalias_mapper::kernel::{
+    self, key_cost, key_hops, pack_key, Key, Offer, Step, Tail, LABELLED, MAPPED, NO_PRED,
 };
 use pathalias_mapper::CostModel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Path-state bits, identical to the mapper's packed run state.
-pub(crate) const LABELLED: u8 = 1 << 0;
-pub(crate) const HAS_LEFT: u8 = 1 << 1;
-pub(crate) const HAS_RIGHT: u8 = 1 << 2;
-pub(crate) const TAINTED: u8 = 1 << 3;
-pub(crate) const VIA_BACK: u8 = 1 << 4;
-pub(crate) const AMBIGUOUS: u8 = 1 << 5;
-pub(crate) const MAPPED: u8 = 1 << 6;
-
 /// Backward-side state bits.
 const B_LABELLED: u8 = 1 << 0;
 const B_SETTLED: u8 = 1 << 1;
-
-/// The source's predecessor sentinel.
-pub(crate) const NO_PRED: (u32, u32) = (u32::MAX, u32::MAX);
-
-type Key = u128;
-
-#[inline]
-fn pack_key(cost: Cost, hops: u32, node: u32) -> Key {
-    ((cost as u128) << 64) | ((hops as u128) << 32) | node as u128
-}
 
 /// Backward heap key: cost then node id, so extraction (and therefore
 /// the backward tree) is deterministic.
@@ -258,198 +238,86 @@ impl Scratch {
     pub(crate) fn pred_of(&self, i: usize) -> (u32, u32) {
         self.f_pred[i]
     }
-}
 
-/// Everything the relaxation needs about the tail, mirroring the
-/// mapper's `Tail`.
-struct TailView {
-    u: u32,
-    cost: Cost,
-    hops: u32,
-    state: u8,
-    pred_edge: Option<EdgeId>,
-    is_domain: bool,
-    use_raw: bool,
-    dead_extra: Cost,
-}
+    /// Forward cost of slot `i`'s label.
+    #[inline]
+    fn f_cost(&self, i: usize) -> Cost {
+        key_cost(self.f_key[i])
+    }
 
-impl TailView {
-    fn load(f: &FrozenGraph, model: &CostModel, src: NodeId, s: &Scratch, u: u32) -> TailView {
-        let i = u as usize;
-        let pred = s.f_pred[i];
-        let id = NodeId::from_raw(u);
-        let is_source = id == src;
-        let uflags = f.flags(id);
-        TailView {
+    /// Labels and queues the source: the mapper's initial run state.
+    fn seed_forward(&mut self, f: &FrozenGraph, src: NodeId, stats: &mut SearchStats) {
+        let si = src.index();
+        self.f_stamp[si] = self.generation;
+        self.f_key[si] = pack_key(0, 0, src.raw());
+        self.f_pred[si] = NO_PRED;
+        self.f_state[si] = kernel::source_state(f, src);
+        self.f_heap.push(Reverse(self.f_key[si]));
+        stats.pushes += 1;
+    }
+
+    /// Settles the popped forward entry `key`, returning its slot;
+    /// `None` for a lazy-deletion entry superseded by an improvement.
+    #[inline]
+    fn settle(&mut self, key: Key, stats: &mut SearchStats) -> Option<usize> {
+        let ui = key as u32 as usize;
+        if self.f_state[ui] & MAPPED != 0 {
+            return None;
+        }
+        self.f_state[ui] |= MAPPED;
+        stats.settled += 1;
+        Some(ui)
+    }
+
+    /// The relaxation context of the forward-labelled node `u`.
+    #[inline]
+    fn tail(&self, f: &FrozenGraph, model: &CostModel, src: NodeId, u: NodeId) -> Tail {
+        let i = u.index();
+        Tail::new(
+            f,
+            model,
+            src,
             u,
-            cost: (s.f_key[i] >> 64) as Cost,
-            hops: (s.f_key[i] >> 32) as u32,
-            state: s.f_state[i],
-            pred_edge: (pred != NO_PRED).then(|| EdgeId::from_raw(pred.1)),
-            is_domain: uflags.contains(NodeFlags::DOMAIN),
-            use_raw: is_source && f.adjust(id) != 0,
-            dead_extra: if !is_source && uflags.contains(NodeFlags::DEAD) {
-                model.dead_penalty
-            } else {
-                0
-            },
+            self.f_key[i],
+            self.f_pred[i],
+            self.f_state[i],
+        )
+    }
+
+    /// Offers a kernel step over `(u, e_raw)` to `v`'s forward label —
+    /// the mapper's label write and tie break — queueing `v` when it
+    /// improves. `vstate` is `v`'s state this query (0 if unlabelled).
+    // Always inlined, like `kernel::step`: an out-of-line call would
+    // make the step's unused fields real stores on every edge.
+    #[inline(always)]
+    fn offer_forward(
+        &mut self,
+        v: NodeId,
+        vstate: u8,
+        step: &Step,
+        pred: (u32, u32),
+        stats: &mut SearchStats,
+    ) {
+        let vi = v.index();
+        let labelled = vstate & LABELLED != 0;
+        if !labelled {
+            self.f_stamp[vi] = self.generation;
+        }
+        let key = step.key(v);
+        let offer = kernel::offer(
+            &mut self.f_key[vi],
+            &mut self.f_pred[vi],
+            &mut self.f_state[vi],
+            labelled,
+            key,
+            pred,
+            step.state,
+        );
+        if offer == Offer::Improved {
+            self.f_heap.push(Reverse(key));
+            stats.pushes += 1;
         }
     }
-}
-
-/// The mapper's gateway-exemption rule, verbatim.
-#[inline]
-fn gateway_exempt(tail_is_domain: bool, eflags: LinkFlags, v_is_domain: bool) -> bool {
-    eflags.contains(LinkFlags::GATEWAY)
-        || eflags.contains(LinkFlags::ALIAS)
-        || eflags.contains(LinkFlags::NET_OUT)
-        || (eflags.contains(LinkFlags::NET_IN) && v_is_domain && !tail_is_domain)
-        || (eflags.is_explicit() && !tail_is_domain)
-}
-
-/// The operator side of the visible hop this edge appends, if any
-/// (mapper's `visible_dir`).
-#[inline]
-fn visible_dir(f: &FrozenGraph, tail: &TailView, edge: FrozenEdge) -> Option<Dir> {
-    let eflags = edge.flags();
-    if eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_IN) {
-        return None;
-    }
-    if eflags.contains(LinkFlags::NET_OUT) {
-        let entering = tail
-            .pred_edge
-            .map(|pe| f.edge(pe).dir())
-            .unwrap_or_else(|| edge.dir());
-        return Some(entering);
-    }
-    Some(edge.dir())
-}
-
-/// One forward relaxation's arithmetic — the mapper's `relax` with the
-/// label bookkeeping factored out, so the search loop and the
-/// stitched-path evaluator cost a candidate identically.
-#[inline]
-fn eval_step(
-    f: &FrozenGraph,
-    model: &CostModel,
-    tail: &TailView,
-    e_raw: u32,
-    edge: FrozenEdge,
-) -> (Cost, u32, u8) {
-    let v = edge.to();
-    let vflags = f.flags(v);
-    let v_is_domain = vflags.contains(NodeFlags::DOMAIN);
-    let eflags = edge.flags();
-
-    let base = if tail.use_raw {
-        f.edge_raw_cost(EdgeId::from_raw(e_raw))
-    } else {
-        edge.cost()
-    };
-
-    let mut gate = 0;
-    let mut relay = 0;
-    let mut mixed = 0;
-    let mut extra = tail.dead_extra;
-    if eflags.contains(LinkFlags::DEAD) {
-        extra += model.dead_link_penalty;
-    }
-    if vflags.intersects(NodeFlags::DOMAIN | NodeFlags::GATED)
-        && !gateway_exempt(tail.is_domain, eflags, v_is_domain)
-    {
-        gate = model.gate_penalty;
-    }
-    if tail.state & TAINTED != 0 && !eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_OUT) {
-        relay = model.relay_penalty;
-    }
-
-    let vis = visible_dir(f, tail, edge);
-    let mut cand_state = (tail.state & !MAPPED) | LABELLED;
-    if let Some(dir) = vis {
-        match dir {
-            Dir::Left => {
-                if tail.state & HAS_RIGHT != 0 {
-                    mixed = model.mixed_penalty;
-                    cand_state |= AMBIGUOUS;
-                }
-                cand_state |= HAS_LEFT;
-            }
-            Dir::Right => {
-                if model.strict_mixed && tail.state & HAS_LEFT != 0 {
-                    mixed = model.mixed_penalty;
-                }
-                cand_state |= HAS_RIGHT;
-            }
-        }
-    }
-    if v_is_domain {
-        cand_state |= TAINTED;
-    }
-    if eflags.contains(LinkFlags::BACK) {
-        cand_state |= VIA_BACK;
-    }
-
-    let cand_cost = tail
-        .cost
-        .saturating_add(base)
-        .saturating_add(gate)
-        .saturating_add(relay)
-        .saturating_add(mixed)
-        .saturating_add(extra);
-    let cand_hops = tail.hops + u32::from(vis.is_some());
-    (cand_cost, cand_hops, cand_state)
-}
-
-/// The backward side's lower-bound weight for the forward edge
-/// `u --e--> v`. Every component is included only when it applies to
-/// *all* forward paths crossing the edge, so summing these along any
-/// `u ⤳ dst` backward path under-approximates the true remaining
-/// forward cost from any label at `u`.
-#[inline]
-fn lower_bound_weight(
-    f: &FrozenGraph,
-    model: &CostModel,
-    src: NodeId,
-    u: NodeId,
-    e_raw: u32,
-    edge: FrozenEdge,
-) -> Cost {
-    let uflags = f.flags(u);
-    let u_is_domain = uflags.contains(NodeFlags::DOMAIN);
-    let v = edge.to();
-    let vflags = f.flags(v);
-    let v_is_domain = vflags.contains(NodeFlags::DOMAIN);
-    let eflags = edge.flags();
-
-    // Exact: the raw-cost source exemption is a property of `u`.
-    let base = if u == src && f.adjust(u) != 0 {
-        f.edge_raw_cost(EdgeId::from_raw(e_raw))
-    } else {
-        edge.cost()
-    };
-    let mut w = base;
-    // Exact: dead host/link penalties are node/edge properties.
-    if u != src && uflags.contains(NodeFlags::DEAD) {
-        w = w.saturating_add(model.dead_penalty);
-    }
-    if eflags.contains(LinkFlags::DEAD) {
-        w = w.saturating_add(model.dead_link_penalty);
-    }
-    // Exact: the exemption rule only reads node/edge properties.
-    if vflags.intersects(NodeFlags::DOMAIN | NodeFlags::GATED)
-        && !gateway_exempt(u_is_domain, eflags, v_is_domain)
-    {
-        w = w.saturating_add(model.gate_penalty);
-    }
-    // Every forward label at a domain node is tainted (the source
-    // starts tainted if it is a domain; reaching a domain taints), so
-    // the relay penalty is exact when `u` is a domain — and only a
-    // lower bound (0) otherwise. The mixed penalty is path-state
-    // dependent, so it bounds to 0.
-    if u_is_domain && !eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_OUT) {
-        w = w.saturating_add(model.relay_penalty);
-    }
-    w
 }
 
 /// The destination's settled label.
@@ -470,6 +338,34 @@ pub(crate) struct SearchOutcome {
     pub stats: SearchStats,
 }
 
+impl SearchOutcome {
+    /// `dst` was not reached; `certified` says whether that is final.
+    fn miss(certified: bool, stats: SearchStats) -> SearchOutcome {
+        SearchOutcome {
+            hit: None,
+            certified,
+            stats,
+        }
+    }
+
+    /// `dst` settled in slot `di`. Certified iff no pruned candidate
+    /// could have produced, improved, or tie-rewritten any label on the
+    /// answer's causal chain: every such candidate's `cand + B(v)` is
+    /// at most the answer cost, so `worst_prune` must beat it strictly.
+    fn hit(scratch: &Scratch, di: usize, worst_prune: Cost, stats: SearchStats) -> SearchOutcome {
+        let cost = scratch.f_cost(di);
+        SearchOutcome {
+            hit: Some(SearchHit {
+                cost,
+                hops: key_hops(scratch.f_key[di]),
+                state: scratch.f_state[di],
+            }),
+            certified: worst_prune > cost,
+            stats,
+        }
+    }
+}
+
 /// Runs the search from `src` until `dst` is settled (or proven
 /// unreachable). With `reverse` the backward pruner runs; without it
 /// this is the plain forward oracle. On a hit the destination's
@@ -487,14 +383,7 @@ pub(crate) fn search(
     let gen = scratch.generation;
     let mut stats = SearchStats::default();
 
-    // Forward init: the mapper's source label.
-    let si = src.index();
-    scratch.f_stamp[si] = gen;
-    scratch.f_key[si] = pack_key(0, 0, src.raw());
-    scratch.f_pred[si] = NO_PRED;
-    scratch.f_state[si] = LABELLED | if f.is_domain(src) { TAINTED } else { 0 };
-    scratch.f_heap.push(Reverse(pack_key(0, 0, src.raw())));
-    stats.pushes += 1;
+    scratch.seed_forward(f, src, &mut stats);
 
     // Backward init.
     let bidi = reverse.is_some();
@@ -525,13 +414,9 @@ pub(crate) fn search(
             // Forward frontier drained: dst unreached. Only certain if
             // no pruned candidate could have led anywhere (every prune
             // was of a provably dst-unreachable head).
-            return SearchOutcome {
-                hit: None,
-                certified: worst_prune == Cost::MAX,
-                stats,
-            };
+            return SearchOutcome::miss(worst_prune == Cost::MAX, stats);
         };
-        let f_top_cost = (fkey >> 64) as Cost;
+        let f_top_cost = key_cost(fkey);
 
         // Advance the backward pruner while it is the cheaper side.
         while b_active {
@@ -569,15 +454,15 @@ pub(crate) fn search(
             // concrete path: re-cost the backward chain under full
             // forward semantics to tighten `mu`.
             if scratch.f_state_of(v) & LABELLED != 0 {
-                let lb = ((scratch.f_key[v] >> 64) as Cost).saturating_add(scratch.b_dist[v]);
+                let lb = scratch.f_cost(v).saturating_add(scratch.b_dist[v]);
                 if lb < mu {
-                    mu = mu.min(stitch(f, model, src, dst, scratch, v as u32));
+                    mu = mu.min(stitch(f, model, src, dst, scratch, v));
                 }
             }
             let rev = reverse.expect("backward side requires the reverse CSR");
             for (u, e) in rev.in_edges(NodeId::from_raw(v as u32)) {
                 let edge = f.edge(e);
-                let w = lower_bound_weight(f, model, src, u, e.raw(), edge);
+                let w = kernel::lower_bound_weight(f, model, Some(src), u, e.raw(), edge);
                 let cand = scratch.b_dist[v].saturating_add(w);
                 let ui = u.index();
                 let known = scratch.b_stamp[ui] == gen && scratch.b_state[ui] & B_LABELLED != 0;
@@ -594,42 +479,40 @@ pub(crate) fn search(
             }
         }
 
-        // Forward extraction (the oracle's loop, verbatim).
+        // Forward extraction (the oracle's loop).
         let Some(Reverse(key)) = scratch.f_heap.pop() else {
-            return SearchOutcome {
-                hit: None,
-                certified: worst_prune == Cost::MAX,
-                stats,
-            };
+            return SearchOutcome::miss(worst_prune == Cost::MAX, stats);
         };
-        let u_raw = key as u32;
-        let ui = u_raw as usize;
-        if scratch.f_state[ui] & MAPPED != 0 {
-            continue; // superseded by a later improvement
-        }
-        scratch.f_state[ui] |= MAPPED;
-        stats.settled += 1;
-        if u_raw == dst.raw() {
-            // Settled. Certified iff no pruned candidate could have
-            // produced, improved, or tie-rewritten any label on the
-            // answer's causal chain.
-            let cost = (scratch.f_key[ui] >> 64) as Cost;
-            return SearchOutcome {
-                hit: Some(SearchHit {
-                    cost,
-                    hops: (scratch.f_key[ui] >> 32) as u32,
-                    state: scratch.f_state[ui],
-                }),
-                certified: worst_prune > cost,
-                stats,
-            };
+        let Some(ui) = scratch.settle(key, &mut stats) else {
+            continue;
+        };
+        if ui == dst.index() {
+            return SearchOutcome::hit(scratch, ui, worst_prune, stats);
         }
         if bidi && scratch.b_state_of(ui) & B_SETTLED != 0 {
-            let lb = ((scratch.f_key[ui] >> 64) as Cost).saturating_add(scratch.b_dist[ui]);
+            let lb = scratch.f_cost(ui).saturating_add(scratch.b_dist[ui]);
             if lb < mu {
-                mu = mu.min(stitch(f, model, src, dst, scratch, u_raw));
+                mu = mu.min(stitch(f, model, src, dst, scratch, ui));
             }
         }
+
+        // `B(x)`: exact once backward-settled; otherwise the backward
+        // top (everything unsettled costs at least that), the frozen
+        // floor, or — backward heap drained — unreachable from `dst`.
+        let bound = |scratch: &Scratch, x: usize| {
+            if scratch.b_state_of(x) & B_SETTLED != 0 {
+                scratch.b_dist[x]
+            } else if b_exhausted {
+                Cost::MAX
+            } else if b_active {
+                scratch
+                    .b_heap
+                    .peek()
+                    .map_or(Cost::MAX, |&Reverse(k)| (k >> 32) as Cost)
+            } else {
+                b_floor
+            }
+        };
 
         // Node-level prune: every candidate out of `u` costs at least
         // `u`'s cost plus a lower-bound edge weight, and `B(u)` is at
@@ -641,19 +524,8 @@ pub(crate) fn search(
         // stays conservative (it can only fall back more, never
         // mis-certify).
         if bidi {
-            let b_of_u = if scratch.b_state_of(ui) & B_SETTLED != 0 {
-                scratch.b_dist[ui]
-            } else if b_exhausted {
-                Cost::MAX
-            } else if b_active {
-                scratch
-                    .b_heap
-                    .peek()
-                    .map_or(Cost::MAX, |&Reverse(k)| (k >> 32) as Cost)
-            } else {
-                b_floor
-            };
-            let through = ((scratch.f_key[ui] >> 64) as Cost).saturating_add(b_of_u);
+            let b_of_u = bound(scratch, ui);
+            let through = scratch.f_cost(ui).saturating_add(b_of_u);
             if through > mu || (b_of_u == Cost::MAX && mu == Cost::MAX && b_exhausted) {
                 worst_prune = worst_prune.min(through);
                 stats.pruned += 1;
@@ -661,36 +533,23 @@ pub(crate) fn search(
             }
         }
 
-        let tail = TailView::load(f, model, src, scratch, u_raw);
-        let (base_edge, row) = f.edge_slice(NodeId::from_raw(u_raw));
+        let u = NodeId::from_raw(ui as u32);
+        let tail = scratch.tail(f, model, src, u);
+        let (base_edge, row) = f.edge_slice(u);
         for (i, &edge) in row.iter().enumerate() {
             let e_raw = base_edge + i as u32;
             let v = edge.to();
-            let vi = v.index();
-            let vstate = scratch.f_state_of(vi);
+            let vstate = scratch.f_state_of(v.index());
             if vstate & MAPPED != 0 {
                 continue;
             }
-            let (cand_cost, cand_hops, cand_state) = eval_step(f, model, &tail, e_raw, edge);
+            let cand = kernel::step(f, model, &tail, e_raw, edge);
 
-            // The pruning rule. `B(v)`: exact once backward-settled;
-            // otherwise the backward top (everything unsettled costs
-            // at least that), the frozen floor, or — backward heap
-            // drained — unreachable-from-dst, prune unconditionally.
+            // The pruning rule; a drained backward heap prunes
+            // unconditionally.
             if bidi {
-                let b_of_v = if scratch.b_state_of(vi) & B_SETTLED != 0 {
-                    scratch.b_dist[vi]
-                } else if b_exhausted {
-                    Cost::MAX
-                } else if b_active {
-                    scratch
-                        .b_heap
-                        .peek()
-                        .map_or(Cost::MAX, |&Reverse(k)| (k >> 32) as Cost)
-                } else {
-                    b_floor
-                };
-                let through = cand_cost.saturating_add(b_of_v);
+                let b_of_v = bound(scratch, v.index());
+                let through = cand.cost.saturating_add(b_of_v);
                 if through > mu || (b_of_v == Cost::MAX && mu == Cost::MAX && b_exhausted) {
                     worst_prune = worst_prune.min(through);
                     stats.pruned += 1;
@@ -699,35 +558,29 @@ pub(crate) fn search(
                 if v == dst {
                     // The destination's own tentative label is a
                     // concrete path cost — a sound `mu` contribution.
-                    mu = mu.min(cand_cost);
+                    mu = mu.min(cand.cost);
                 }
             }
-
-            let cand_key = pack_key(cand_cost, cand_hops, v.raw());
-            let cand_pred = (u_raw, e_raw);
-            if vstate & LABELLED == 0 {
-                scratch.f_stamp[vi] = gen;
-                scratch.f_key[vi] = cand_key;
-                scratch.f_pred[vi] = cand_pred;
-                scratch.f_state[vi] = cand_state;
-                scratch.f_heap.push(Reverse(cand_key));
-                stats.pushes += 1;
-            } else {
-                let old = scratch.f_key[vi];
-                if cand_key < old {
-                    scratch.f_key[vi] = cand_key;
-                    scratch.f_pred[vi] = cand_pred;
-                    scratch.f_state[vi] = cand_state;
-                    scratch.f_heap.push(Reverse(cand_key));
-                    stats.pushes += 1;
-                } else if cand_key == old && cand_pred < scratch.f_pred[vi] {
-                    // The mapper's deterministic tie break.
-                    scratch.f_pred[vi] = cand_pred;
-                    scratch.f_state[vi] = cand_state;
-                }
-            }
+            scratch.offer_forward(v, vstate, &cand, (u.raw(), e_raw), &mut stats);
         }
     }
+}
+
+/// The tail a chain walk reaches by relaxing `e` out of `tail`, under
+/// full forward semantics.
+fn follow(f: &FrozenGraph, model: &CostModel, src: NodeId, tail: &Tail, e: EdgeId) -> Tail {
+    let edge = f.edge(e);
+    let step = kernel::step(f, model, tail, e.raw(), edge);
+    let v = edge.to();
+    Tail::new(
+        f,
+        model,
+        src,
+        v,
+        step.key(v),
+        (tail.u.raw(), e.raw()),
+        step.state,
+    )
 }
 
 /// Re-costs the backward predecessor chain from `x` to `dst` under
@@ -740,32 +593,14 @@ fn stitch(
     src: NodeId,
     dst: NodeId,
     scratch: &Scratch,
-    x: u32,
+    x: usize,
 ) -> Cost {
-    let mut tail = TailView::load(f, model, src, scratch, x);
+    let mut tail = scratch.tail(f, model, src, NodeId::from_raw(x as u32));
     let mut guard = 0usize;
-    while tail.u != dst.raw() {
-        let (_, e_raw) = scratch.b_pred[tail.u as usize];
+    while tail.u != dst {
+        let (_, e_raw) = scratch.b_pred[tail.u.index()];
         debug_assert_ne!(e_raw, u32::MAX, "backward chain must reach dst");
-        let edge = f.edge(EdgeId::from_raw(e_raw));
-        let (cost, hops, state) = eval_step(f, model, &tail, e_raw, edge);
-        let v = edge.to();
-        let vflags = f.flags(v);
-        let is_source = v == src;
-        tail = TailView {
-            u: v.raw(),
-            cost,
-            hops,
-            state,
-            pred_edge: Some(EdgeId::from_raw(e_raw)),
-            is_domain: vflags.contains(NodeFlags::DOMAIN),
-            use_raw: is_source && f.adjust(v) != 0,
-            dead_extra: if !is_source && vflags.contains(NodeFlags::DEAD) {
-                model.dead_penalty
-            } else {
-                0
-            },
-        };
+        tail = follow(f, model, src, &tail, EdgeId::from_raw(e_raw));
         guard += 1;
         debug_assert!(guard <= f.node_count(), "backward chain cycled");
         if guard > f.node_count() {
@@ -775,89 +610,15 @@ fn stitch(
     tail.cost
 }
 
-/// The universal lower-bound weight vector the contraction hierarchy
-/// is built over: one entry per frozen edge, independent of the query
-/// source (unlike the private `lower_bound_weight`, which may charge the exact
-/// raw-cost and dead-host terms because it knows `src`). Every
-/// component is included only when it applies to *every* forward
-/// relaxation over the edge, from any label at any source:
-///
-/// * the base cost is the folded cost capped by the raw sidecar cost —
-///   whichever of the two the mapper charges (folded normally, raw at
-///   an adjusted source), the minimum under-approximates it;
-/// * the dead-*link* penalty (an edge property) is exact, but the
-///   dead-*host* penalty is omitted: its source-tail exemption makes
-///   it query-dependent;
-/// * the gate penalty is exact — the exemption rule reads only
-///   node/edge properties;
-/// * the relay penalty applies when the tail is a domain (every
-///   forward label at a domain is tainted); the mixed penalty is
-///   path-state dependent and bounds to zero.
-///
-/// Summing these along any path under-approximates what the mapper
-/// charges for it, so hierarchy distances over this metric are sound
-/// pruning bounds for the certified search.
-pub fn ch_weights(f: &FrozenGraph, model: &CostModel) -> Vec<Cost> {
-    let mut w = vec![0; f.edge_count()];
-    for u in f.node_ids() {
-        let u_is_domain = f.is_domain(u);
-        let (base_edge, row) = f.edge_slice(u);
-        for (i, &edge) in row.iter().enumerate() {
-            let e_raw = base_edge + i as u32;
-            let vflags = f.flags(edge.to());
-            let eflags = edge.flags();
-            let mut c = edge.cost().min(f.edge_raw_cost(EdgeId::from_raw(e_raw)));
-            if eflags.contains(LinkFlags::DEAD) {
-                c = c.saturating_add(model.dead_link_penalty);
-            }
-            if vflags.intersects(NodeFlags::DOMAIN | NodeFlags::GATED)
-                && !gateway_exempt(u_is_domain, eflags, vflags.contains(NodeFlags::DOMAIN))
-            {
-                c = c.saturating_add(model.gate_penalty);
-            }
-            if u_is_domain && !eflags.intersects(LinkFlags::ALIAS | LinkFlags::NET_OUT) {
-                c = c.saturating_add(model.relay_penalty);
-            }
-            w[e_raw as usize] = c;
-        }
-    }
-    w
-}
-
 /// Re-costs an explicit forward edge chain starting at `src` under
 /// full forward semantics — the unpacked CH meeting path becomes a
 /// concrete upper bound this way.
 fn cost_path(f: &FrozenGraph, model: &CostModel, src: NodeId, edges: &[EdgeId]) -> Cost {
-    let mut tail = TailView {
-        u: src.raw(),
-        cost: 0,
-        hops: 0,
-        state: LABELLED | if f.is_domain(src) { TAINTED } else { 0 },
-        pred_edge: None,
-        is_domain: f.is_domain(src),
-        use_raw: f.adjust(src) != 0,
-        dead_extra: 0,
-    };
+    let key = pack_key(0, 0, src.raw());
+    let state = kernel::source_state(f, src);
+    let mut tail = Tail::new(f, model, src, src, key, NO_PRED, state);
     for &e in edges {
-        let edge = f.edge(e);
-        let (cost, hops, state) = eval_step(f, model, &tail, e.raw(), edge);
-        let v = edge.to();
-        let vflags = f.flags(v);
-        let is_source = v == src;
-        tail = TailView {
-            u: v.raw(),
-            cost,
-            hops,
-            state,
-            pred_edge: Some(e),
-            is_domain: vflags.contains(NodeFlags::DOMAIN),
-            use_raw: is_source && f.adjust(v) != 0,
-            dead_extra: if !is_source && vflags.contains(NodeFlags::DEAD) {
-                model.dead_penalty
-            } else {
-                0
-            },
-        };
+        tail = follow(f, model, src, &tail, e);
     }
     tail.cost
 }
@@ -1016,11 +777,7 @@ pub(crate) fn search_ch(
         }
     }
     let Some(meet) = meet else {
-        return SearchOutcome {
-            hit: None,
-            certified: false,
-            stats,
-        };
+        return SearchOutcome::miss(false, stats);
     };
 
     // Unpack the meeting path (both pred chains strictly descend rank,
@@ -1044,75 +801,48 @@ pub(crate) fn search_ch(
     let mut edges: Vec<EdgeId> = Vec::new();
     for &r in &refs {
         if !ch.unpack_into(r, &mut edges) {
-            return SearchOutcome {
-                hit: None,
-                certified: false,
-                stats,
-            };
+            return SearchOutcome::miss(false, stats);
         }
     }
     let mut mu = cost_path(f, model, src, &edges);
 
-    // Phase 3: the exact forward search (the oracle's loop, verbatim),
-    // pruned by B* and certified exactly as the bidirectional variant.
-    let si = src.index();
-    scratch.f_stamp[si] = gen;
-    scratch.f_key[si] = pack_key(0, 0, src.raw());
-    scratch.f_pred[si] = NO_PRED;
-    scratch.f_state[si] = LABELLED | if f.is_domain(src) { TAINTED } else { 0 };
-    scratch.f_heap.push(Reverse(pack_key(0, 0, src.raw())));
-    stats.pushes += 1;
+    // Phase 3: the exact forward search (the oracle's loop), pruned by
+    // B* and certified exactly as the bidirectional variant.
+    scratch.seed_forward(f, src, &mut stats);
     let mut worst_prune = Cost::MAX;
 
     loop {
         let Some(Reverse(key)) = scratch.f_heap.pop() else {
-            return SearchOutcome {
-                hit: None,
-                certified: worst_prune == Cost::MAX,
-                stats,
-            };
+            return SearchOutcome::miss(worst_prune == Cost::MAX, stats);
         };
-        let u_raw = key as u32;
-        let ui = u_raw as usize;
-        if scratch.f_state[ui] & MAPPED != 0 {
-            continue; // superseded by a later improvement
-        }
-        scratch.f_state[ui] |= MAPPED;
-        stats.settled += 1;
-        if u_raw == dst.raw() {
-            let cost = (scratch.f_key[ui] >> 64) as Cost;
-            return SearchOutcome {
-                hit: Some(SearchHit {
-                    cost,
-                    hops: (scratch.f_key[ui] >> 32) as u32,
-                    state: scratch.f_state[ui],
-                }),
-                certified: worst_prune > cost,
-                stats,
-            };
+        let Some(ui) = scratch.settle(key, &mut stats) else {
+            continue;
+        };
+        if ui == dst.index() {
+            return SearchOutcome::hit(scratch, ui, worst_prune, stats);
         }
         // Node-level prune, same rule as the bidirectional search.
-        let b_of_u = bound_to_dst(ch, scratch, &mut stats, u_raw);
-        let through = ((scratch.f_key[ui] >> 64) as Cost).saturating_add(b_of_u);
+        let u = NodeId::from_raw(ui as u32);
+        let b_of_u = bound_to_dst(ch, scratch, &mut stats, u.raw());
+        let through = scratch.f_cost(ui).saturating_add(b_of_u);
         if through > mu {
             worst_prune = worst_prune.min(through);
             stats.pruned += 1;
             continue;
         }
 
-        let tail = TailView::load(f, model, src, scratch, u_raw);
-        let (base_edge, row) = f.edge_slice(NodeId::from_raw(u_raw));
+        let tail = scratch.tail(f, model, src, u);
+        let (base_edge, row) = f.edge_slice(u);
         for (i, &edge) in row.iter().enumerate() {
             let e_raw = base_edge + i as u32;
             let v = edge.to();
-            let vi = v.index();
-            let vstate = scratch.f_state_of(vi);
+            let vstate = scratch.f_state_of(v.index());
             if vstate & MAPPED != 0 {
                 continue;
             }
-            let (cand_cost, cand_hops, cand_state) = eval_step(f, model, &tail, e_raw, edge);
+            let cand = kernel::step(f, model, &tail, e_raw, edge);
             let b_of_v = bound_to_dst(ch, scratch, &mut stats, v.raw());
-            let through = cand_cost.saturating_add(b_of_v);
+            let through = cand.cost.saturating_add(b_of_v);
             if through > mu {
                 worst_prune = worst_prune.min(through);
                 stats.pruned += 1;
@@ -1121,32 +851,9 @@ pub(crate) fn search_ch(
             if v == dst {
                 // The destination's tentative label is a concrete
                 // path cost — a sound `mu` contribution.
-                mu = mu.min(cand_cost);
+                mu = mu.min(cand.cost);
             }
-
-            let cand_key = pack_key(cand_cost, cand_hops, v.raw());
-            let cand_pred = (u_raw, e_raw);
-            if vstate & LABELLED == 0 {
-                scratch.f_stamp[vi] = gen;
-                scratch.f_key[vi] = cand_key;
-                scratch.f_pred[vi] = cand_pred;
-                scratch.f_state[vi] = cand_state;
-                scratch.f_heap.push(Reverse(cand_key));
-                stats.pushes += 1;
-            } else {
-                let old = scratch.f_key[vi];
-                if cand_key < old {
-                    scratch.f_key[vi] = cand_key;
-                    scratch.f_pred[vi] = cand_pred;
-                    scratch.f_state[vi] = cand_state;
-                    scratch.f_heap.push(Reverse(cand_key));
-                    stats.pushes += 1;
-                } else if cand_key == old && cand_pred < scratch.f_pred[vi] {
-                    // The mapper's deterministic tie break.
-                    scratch.f_pred[vi] = cand_pred;
-                    scratch.f_state[vi] = cand_state;
-                }
-            }
+            scratch.offer_forward(v, vstate, &cand, (u.raw(), e_raw), &mut stats);
         }
     }
 }

@@ -14,18 +14,26 @@ use proptest::prelude::*;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Builds the serving world the daemon would hold: the home tree's
-/// augmented snapshot (invented back links included), a plain
-/// bidirectional engine, and a hierarchy-carrying engine over that
-/// same graph.
-fn serving_world(text: &str, home: &str) -> (Arc<FrozenGraph>, PointToPoint, PointToPoint) {
+/// Builds the serving world the daemon would hold under `model`: the
+/// home tree's augmented snapshot (invented back links included), a
+/// plain bidirectional engine, and a hierarchy-carrying engine over
+/// that same graph.
+fn serving_world(
+    text: &str,
+    home: &str,
+    model: CostModel,
+) -> (Arc<FrozenGraph>, PointToPoint, PointToPoint) {
     let g = pathalias_parser::parse(text).expect("map parses");
     let src = g.try_node(home).expect("home exists");
     let f = Arc::new(g.freeze());
-    let tree = map_frozen(&f, src, &MapOptions::default()).expect("home maps");
+    let opts = MapOptions {
+        model,
+        ..MapOptions::default()
+    };
+    let tree = map_frozen(&f, src, &opts).expect("home maps");
     let aug = tree.frozen().clone();
-    let engine = PointToPoint::new(aug.clone(), CostModel::default());
-    let ch_engine = PointToPoint::with_fresh_hierarchy(aug.clone(), CostModel::default());
+    let engine = PointToPoint::new(aug.clone(), model);
+    let ch_engine = PointToPoint::with_fresh_hierarchy(aug.clone(), model);
     assert!(
         ch_engine.hierarchy().is_some(),
         "freshly built hierarchy passes the engine's consistency gate"
@@ -54,7 +62,11 @@ fn assert_parity_from(
         );
         return;
     }
-    let tree = map_frozen_readonly(aug, src, &MapOptions::default()).expect("tree maps");
+    let opts = MapOptions {
+        model: *engine.model(),
+        ..MapOptions::default()
+    };
+    let tree = map_frozen_readonly(aug, src, &opts).expect("tree maps");
     let table = compute_routes(&tree);
     let routes: HashMap<NodeId, _> = table.entries.iter().map(|r| (r.node, r)).collect();
 
@@ -104,8 +116,8 @@ fn assert_parity_from(
     }
 }
 
-/// Hand-written maps exercising each cost-model rule the search must
-/// replicate: operators on both sides, networks with gateways,
+/// Hand-written maps exercising each cost-model rule the searches must
+/// agree on: operators on both sides, networks with gateways,
 /// domains (taint + name synthesis), aliases, dead hosts and links,
 /// `adjust` (raw-cost source exemption), `delete`, duplicate links,
 /// and back-link territory.
@@ -149,7 +161,7 @@ const CORPUS: &[(&str, &str)] = &[
 fn corpus_parity_from_home() {
     for (tag, text) in CORPUS {
         let home = text.split_whitespace().next().unwrap();
-        let (aug, engine, ch_engine) = serving_world(text, home);
+        let (aug, engine, ch_engine) = serving_world(text, home, CostModel::default());
         let src = aug.id_of(home).expect("home survives freezing");
         assert_parity_from(&aug, &engine, &ch_engine, src, 1);
         let _ = tag;
@@ -160,7 +172,7 @@ fn corpus_parity_from_home() {
 fn corpus_parity_from_every_endpoint() {
     for (_tag, text) in CORPUS {
         let home = text.split_whitespace().next().unwrap();
-        let (aug, engine, ch_engine) = serving_world(text, home);
+        let (aug, engine, ch_engine) = serving_world(text, home, CostModel::default());
         // Every node takes a turn as the query source — including
         // deleted ones (refused) and nets/domains.
         for src in aug.node_ids() {
@@ -172,7 +184,7 @@ fn corpus_parity_from_every_endpoint() {
 #[test]
 fn via_lists_one_hop_predecessors() {
     let text = "h a(10)\nh b(20)\na z(5)\nb z(7)\nb z(3)\nh z(100)\n";
-    let (aug, engine, _ch) = serving_world(text, "h");
+    let (aug, engine, _ch) = serving_world(text, "h", CostModel::default());
     let vias = engine.via("z").expect("z exists");
     // Brute force from the forward side: every tail with an edge to z,
     // cheapest folded edge cost.
@@ -199,7 +211,7 @@ fn via_lists_one_hop_predecessors() {
 
 #[test]
 fn name_resolution_errors() {
-    let (_aug, engine, _ch) = serving_world("a b(10)\n", "a");
+    let (_aug, engine, _ch) = serving_world("a b(10)\n", "a", CostModel::default());
     assert!(matches!(
         engine.route("nope", "b"),
         Err(RouteError::UnknownSource(_))
@@ -217,7 +229,7 @@ fn qualified_domain_member_names_resolve() {
     // of `.edu` — the printer keys it as `deep.relay.edu`, so PATH
     // must accept every name QUERY serves from the printed table.
     let text = "h gw(10)\ngw .edu(5)\n.edu = {.relay}(0)\n.relay = {deep, other}(0)\n";
-    let (aug, engine, _ch) = serving_world(text, "h");
+    let (aug, engine, _ch) = serving_world(text, "h", CostModel::default());
     let deep = aug.id_of("deep").unwrap();
     let exact = engine.route_ids(aug.id_of("h").unwrap(), deep).unwrap();
     let by_name = engine.route("h", "deep.relay.edu").unwrap();
@@ -275,15 +287,25 @@ proptest! {
 
     /// Generated worlds — cliques (networks), chains, domains, dead
     /// hosts, aliases, injected `adjust`/`delete` — answer identically
-    /// from the home and from pseudo-random other endpoints.
+    /// from the home and from pseudo-random other endpoints, under the
+    /// paper's model and under a strict-mixing model whose gate
+    /// penalty is finite (so gated entries can win).
     #[test]
     fn generated_worlds_parity(
         hosts in 40usize..120,
         seed in 0u64..10_000,
+        model in prop_oneof![
+            Just(CostModel::default()),
+            Just(CostModel {
+                gate_penalty: 2_000,
+                strict_mixed: true,
+                ..CostModel::default()
+            }),
+        ],
     ) {
         let map = generate(&MapSpec::small(hosts, seed));
         let text = with_admin_statements(&map.concatenated(), &map.home, seed);
-        let (aug, engine, ch_engine) = serving_world(&text, &map.home);
+        let (aug, engine, ch_engine) = serving_world(&text, &map.home, model);
         let home = aug.id_of(&map.home).expect("home survives");
         assert_parity_from(&aug, &engine, &ch_engine, home, 1);
         // Two more endpoints' perspectives, seed-chosen.
@@ -300,7 +322,8 @@ proptest! {
 #[test]
 fn paper_scale_parity_and_pruning() {
     let map = generate(&MapSpec::usenet_1986(1986));
-    let (aug, engine, ch_engine) = serving_world(&map.concatenated(), &map.home);
+    let (aug, engine, ch_engine) =
+        serving_world(&map.concatenated(), &map.home, CostModel::default());
     let home = aug.id_of(&map.home).expect("home survives");
     assert_parity_from(&aug, &engine, &ch_engine, home, 97);
     // A second perspective from an arbitrary mid-map host.

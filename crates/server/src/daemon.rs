@@ -5,9 +5,8 @@
 //! thousands of mostly-idle mailers, in the C10K shape — over one
 //! epoll/kqueue poller, with `SO_REUSEPORT` listener shards spreading
 //! the accept load across workers and a UDP endpoint answering
-//! single-shot queries. Other platforms keep the original
-//! thread-per-connection path; the wire behaviour is byte-identical
-//! either way.
+//! single-shot queries. The daemon is unix-only: on other platforms
+//! [`Server::start`] fails with `Unsupported`.
 //!
 //! The daemon serves one or more named **maps** (real sites ran many
 //! overlapping worlds: the regional UUCP map, the global map, local
@@ -30,12 +29,8 @@
 //! exit). A v1 session is byte-for-byte the PR-1 protocol.
 
 use crate::index::Cached;
-#[cfg(not(unix))]
-use crate::metrics::drop_one;
 use crate::metrics::{bump, Metrics, ServerMetrics};
-#[cfg(not(unix))]
-use crate::protocol::parse_request;
-#[cfg(any(not(unix), test))]
+#[cfg(test)]
 use crate::protocol::{ProtoVersion, MAX_LINE};
 use crate::protocol::{Request, Response};
 use crate::reload::MapSource;
@@ -44,12 +39,8 @@ use pathalias_mailer::{BoxedResolver, ResolveError, Resolver};
 use pathalias_router::{PointToPoint, RouteError};
 use pathalias_telemetry::{Logger, PromText, SlowEntry};
 use std::io;
-#[cfg(any(not(unix), test))]
+#[cfg(test)]
 use std::io::{BufRead, BufReader};
-#[cfg(not(unix))]
-use std::io::{BufWriter, Read, Write};
-#[cfg(not(unix))]
-use std::net::TcpStream;
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
@@ -58,11 +49,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// How often an idle connection thread wakes to check for shutdown.
-/// Bounds how long a drain waits on a completely quiet connection.
-#[cfg(not(unix))]
-const IDLE_POLL: Duration = Duration::from_millis(200);
 
 /// The namespace a single-source config serves under.
 pub const DEFAULT_MAP_NAME: &str = "default";
@@ -188,10 +174,6 @@ pub(crate) struct State {
     /// `Server::start` before the workers spawn).
     #[cfg(unix)]
     workers: Mutex<Vec<Arc<crate::event::WorkerShared>>>,
-    /// Where to poke a throwaway connection to wake the blocking
-    /// accept loop (filled in by `Server::start` once bound).
-    #[cfg(not(unix))]
-    wake_tcp: Mutex<Option<SocketAddr>>,
 }
 
 impl State {
@@ -554,8 +536,8 @@ impl State {
             load(&self.server_metrics.active_connections),
         );
         // Per-worker series from the event-loop core. Absent when no
-        // workers run (unit-test states, non-unix platforms), so the
-        // exposition elsewhere is unchanged.
+        // workers run (unit-test states), so the exposition elsewhere
+        // is unchanged.
         #[cfg(unix)]
         {
             let workers = self.workers.lock().expect("workers lock poisoned").clone();
@@ -785,10 +767,6 @@ impl State {
         for worker in self.workers.lock().expect("workers lock poisoned").iter() {
             worker.wake_up();
         }
-        #[cfg(not(unix))]
-        if let Some(addr) = *self.wake_tcp.lock().expect("wake lock poisoned") {
-            let _ = TcpStream::connect(addr);
-        }
     }
 }
 
@@ -803,7 +781,7 @@ fn outcome_of(resp: &Response) -> &'static str {
 }
 
 /// How one attempt to read a line ended.
-#[cfg(any(not(unix), test))]
+#[cfg(test)]
 #[derive(Debug)]
 enum LineRead {
     /// A complete line was delivered.
@@ -821,7 +799,7 @@ enum LineRead {
 /// timeouts), so a slow sender is never corrupted by the shutdown
 /// poll. `Err` with `InvalidData` means the peer sent an over-long
 /// line.
-#[cfg(any(not(unix), test))]
+#[cfg(test)]
 fn read_bounded_line(
     reader: &mut impl BufRead,
     partial: &mut Vec<u8>,
@@ -874,97 +852,6 @@ fn read_bounded_line(
     Ok(LineRead::Line)
 }
 
-/// Streams that can be split into an independent reader and writer —
-/// the shape blocking connection threads need.
-#[cfg(not(unix))]
-pub(crate) trait SplitStream: Read + Write + Send + Sized + 'static {
-    /// A second handle to the same underlying socket.
-    fn split(&self) -> io::Result<Self>;
-    /// Bounds each blocking read so the thread can poll for shutdown.
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()>;
-}
-
-#[cfg(not(unix))]
-impl SplitStream for TcpStream {
-    fn split(&self) -> io::Result<TcpStream> {
-        self.try_clone()
-    }
-    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
-        TcpStream::set_read_timeout(self, timeout)
-    }
-}
-
-/// Serves one connection until QUIT, EOF, error, or shutdown. The
-/// reader is buffered across requests, so pipelined lines are never
-/// dropped; responses for one request line (one for most verbs, N for
-/// `MQUERY`) are written together and flushed once.
-#[cfg(not(unix))]
-fn serve_connection(state: Arc<State>, stream: impl SplitStream, conn_id: u64) -> io::Result<()> {
-    // Bounded reads let an idle connection notice a drain without a
-    // request arriving; partial request bytes survive the poll.
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
-    let mut reader = BufReader::new(stream.split()?);
-    let mut writer = BufWriter::new(stream);
-    let mut partial = Vec::new();
-    let mut line = String::new();
-    let mut proto = ProtoVersion::V1;
-    loop {
-        match read_bounded_line(&mut reader, &mut partial, &mut line) {
-            Ok(LineRead::Line) => {}
-            Ok(LineRead::Eof) => return Ok(()),
-            Ok(LineRead::Idle) => {
-                // Only drop an *idle* connection on drain; one with a
-                // request in flight gets to finish sending it.
-                if state.shutting_down.load(Ordering::SeqCst) && partial.is_empty() {
-                    return Ok(());
-                }
-                continue;
-            }
-            Err(e) if e.kind() == io::ErrorKind::InvalidData => {
-                state
-                    .logger
-                    .warn("bad_request")
-                    .field("conn", conn_id)
-                    .field("reason", &e)
-                    .emit();
-                writeln!(writer, "{}", Response::BadRequest(e.to_string()))?;
-                writer.flush()?;
-                return Ok(());
-            }
-            Err(e) => return Err(e),
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let (responses, closing) = match parse_request(line.trim_end_matches(['\r', '\n']), proto) {
-            Ok(req) => {
-                let closing = matches!(req, Request::Quit | Request::Shutdown);
-                if let Request::Proto { version } = req {
-                    proto = version;
-                }
-                (state.respond(req), closing)
-            }
-            Err(why) => {
-                bump(&state.server_metrics.bad_requests);
-                state
-                    .logger
-                    .warn("bad_request")
-                    .field("conn", conn_id)
-                    .field("reason", &why)
-                    .emit();
-                (vec![Response::BadRequest(why)], false)
-            }
-        };
-        for response in &responses {
-            writeln!(writer, "{response}")?;
-        }
-        writer.flush()?;
-        if closing {
-            return Ok(());
-        }
-    }
-}
-
 /// The daemon entry point.
 pub struct Server;
 
@@ -981,8 +868,15 @@ pub struct ServerHandle {
 
 impl Server {
     /// Loads every map's table (failing fast if any source is broken),
-    /// binds the listeners, and starts accepting.
+    /// binds the listeners, and starts accepting. The serving loop is
+    /// the unix event loop; on other platforms this fails with
+    /// [`io::ErrorKind::Unsupported`].
     pub fn start(config: ServerConfig) -> Result<ServerHandle, StartError> {
+        #[cfg(not(unix))]
+        return Err(StartError::Bind(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the pathalias daemon is unix-only",
+        )));
         if config.maps.is_empty() {
             return Err(StartError::Config("no maps configured".to_string()));
         }
@@ -1069,8 +963,6 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             #[cfg(unix)]
             workers: Mutex::new(Vec::new()),
-            #[cfg(not(unix))]
-            wake_tcp: Mutex::new(None),
         });
 
         let mut accept_threads = Vec::new();
@@ -1182,42 +1074,6 @@ impl Server {
             }
         }
 
-        #[cfg(not(unix))]
-        {
-            if config.unix.is_some() {
-                return Err(StartError::Bind(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "unix sockets are not available on this platform",
-                )));
-            }
-            if config.udp.is_some() {
-                return Err(StartError::Bind(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "the udp endpoint wants the unix event loop",
-                )));
-            }
-            if let Some(addr) = &config.tcp {
-                let listener = TcpListener::bind(addr.as_str()).map_err(StartError::Bind)?;
-                let bound = listener.local_addr().map_err(StartError::Bind)?;
-                tcp_addr = Some(bound);
-                *state.wake_tcp.lock().expect("wake lock poisoned") = Some(bound);
-                state
-                    .logger
-                    .info("listening")
-                    .field("transport", "tcp")
-                    .field("addr", bound)
-                    .emit();
-                let state = state.clone();
-                accept_threads.push(std::thread::spawn(move || accept_tcp(state, listener)));
-            }
-            if tcp_addr.is_none() {
-                return Err(StartError::Bind(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "no listener configured (need tcp, udp and/or unix)",
-                )));
-            }
-        }
-
         if let Some(interval) = config.watch {
             let state = state.clone();
             let baselines = watch_baselines.unwrap_or_default();
@@ -1233,25 +1089,6 @@ impl Server {
             udp_addr,
             accept_threads,
         })
-    }
-}
-
-#[cfg(not(unix))]
-fn accept_tcp(state: Arc<State>, listener: TcpListener) {
-    for stream in listener.incoming() {
-        if state.shutting_down.load(Ordering::SeqCst) {
-            return;
-        }
-        match stream {
-            Ok(stream) => {
-                // One buffered write per request line = one segment;
-                // with nodelay set, neither Nagle nor delayed ACKs can
-                // stall the request/response ping-pong.
-                let _ = stream.set_nodelay(true);
-                spawn_connection(state.clone(), stream);
-            }
-            Err(_) => continue,
-        }
     }
 }
 
@@ -1329,27 +1166,6 @@ fn watch_sources(
             }
         }
     }
-}
-
-#[cfg(not(unix))]
-fn spawn_connection(state: Arc<State>, stream: impl SplitStream) {
-    bump(&state.server_metrics.connections);
-    bump(&state.server_metrics.active_connections);
-    let conn_id = state.next_conn_id.fetch_add(1, Ordering::Relaxed);
-    state
-        .logger
-        .debug("conn_open")
-        .field("conn", conn_id)
-        .emit();
-    std::thread::spawn(move || {
-        let _ = serve_connection(state.clone(), stream, conn_id);
-        drop_one(&state.server_metrics.active_connections);
-        state
-            .logger
-            .debug("conn_close")
-            .field("conn", conn_id)
-            .emit();
-    });
 }
 
 /// Why the daemon failed to start.
@@ -1558,8 +1374,6 @@ mod tests {
             shutting_down: AtomicBool::new(false),
             #[cfg(unix)]
             workers: Mutex::new(Vec::new()),
-            #[cfg(not(unix))]
-            wake_tcp: Mutex::new(None),
         })
     }
 

@@ -17,10 +17,10 @@
 //! (`busy`) so pipelined requests behind it keep their order, and the
 //! response is injected back through the owning worker's inbox.
 //!
-//! Wire behaviour is byte-identical to the legacy blocking path (which
-//! still serves non-unix platforms): same responses, same flush
-//! boundaries, same `MAX_LINE` handling, same log events, same
-//! drain-an-idle-connection-after-200ms shutdown semantics.
+//! The wire contract — responses, one flush per request line,
+//! `MAX_LINE` handling, log events, and the
+//! drain-an-idle-connection-after-200ms shutdown — is what the
+//! protocol replay suites pin.
 
 use crate::daemon::State;
 use crate::metrics::{bump, drop_one};

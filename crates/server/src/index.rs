@@ -1,11 +1,11 @@
 //! The read-mostly serving index: an immutable snapshot per table
 //! generation behind an atomic swap, wrapped in a generation-stamped
 //! cache — all generic over [`Resolver`], so the same decorator serves
-//! an in-memory [`SharedRouteDb`], a page-cache-backed
-//! [`MappedDb`](pathalias_mailer::disk::MappedDb), or any future
-//! backend.
+//! an in-memory [`SharedRouteDb`](pathalias_mailer::SharedRouteDb), a
+//! page-cache-backed [`MappedDb`](pathalias_mailer::disk::MappedDb),
+//! or any future backend.
 //!
-//! Queries clone an `Arc` out of a [`SwapCell`] (one brief read-lock,
+//! Queries clone an `Arc` out of a swap cell (one brief read-lock,
 //! no contention with other readers) and then run entirely against
 //! that snapshot: a reload mid-query can never produce a response that
 //! mixes the old and new tables. In-flight queries on the old
@@ -14,13 +14,13 @@
 
 use crate::cache::{CachedHit, ShardedCache};
 use crate::metrics::{bump, Metrics};
-use pathalias_mailer::{ExactOutcome, Resolution, ResolveError, Resolver, RouteDb, SharedRouteDb};
+use pathalias_mailer::{ExactOutcome, Resolution, ResolveError, Resolver};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// One immutable table generation over any [`Resolver`] backend.
 #[derive(Debug, Clone)]
-pub struct RouteIndex<R = SharedRouteDb> {
+pub(crate) struct RouteIndex<R> {
     resolver: R,
     generation: u64,
 }
@@ -50,27 +50,12 @@ impl<R: Resolver> RouteIndex<R> {
     }
 }
 
-impl RouteIndex<SharedRouteDb> {
-    /// Freezes an in-memory `db` as generation `generation`.
-    pub fn new(db: RouteDb, generation: u64) -> RouteIndex<SharedRouteDb> {
-        RouteIndex {
-            resolver: SharedRouteDb::new(db),
-            generation,
-        }
-    }
-
-    /// The underlying shared database handle.
-    pub fn db(&self) -> &SharedRouteDb {
-        &self.resolver
-    }
-}
-
 /// The swap point: readers clone the current `Arc`, a reload stores a
 /// new one. This is the `arc-swap` idiom on std primitives — the write
 /// lock is held only for the pointer store, so readers never block each
 /// other and a reload never blocks an in-flight query.
 #[derive(Debug)]
-pub struct SwapCell<R = SharedRouteDb> {
+struct SwapCell<R> {
     current: RwLock<Arc<RouteIndex<R>>>,
 }
 
@@ -153,7 +138,7 @@ impl<R: Resolver> Cached<R> {
     /// The current snapshot, for callers that need to pin one across
     /// several operations (generation and entry counts for `HEALTH`,
     /// a batch that must answer from one table, ...).
-    pub fn snapshot(&self) -> Arc<RouteIndex<R>> {
+    pub(crate) fn snapshot(&self) -> Arc<RouteIndex<R>> {
         self.swap.load()
     }
 
@@ -171,7 +156,7 @@ impl<R: Resolver> Cached<R> {
 
     /// Resolves against a pinned snapshot, consulting (and feeding) the
     /// cache under that snapshot's generation.
-    pub fn resolve_at(
+    pub(crate) fn resolve_at(
         &self,
         index: &RouteIndex<R>,
         host: &str,
@@ -260,11 +245,12 @@ impl<R: Resolver> Resolver for Cached<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pathalias_mailer::ResolvedVia;
+    use pathalias_mailer::{ResolvedVia, RouteDb, SharedRouteDb};
     use std::sync::atomic::Ordering;
 
-    fn index(text: &str, generation: u64) -> RouteIndex {
-        RouteIndex::new(RouteDb::from_output(text).unwrap(), generation)
+    fn index(text: &str, generation: u64) -> RouteIndex<SharedRouteDb> {
+        let db = SharedRouteDb::new(RouteDb::from_output(text).unwrap());
+        RouteIndex::with_resolver(db, generation)
     }
 
     fn cached(text: &str) -> Cached<SharedRouteDb> {
@@ -322,9 +308,9 @@ mod tests {
         cell.store(index("a\tb!a!%s\n", 1));
         // The old snapshot stays valid for readers that grabbed it.
         assert_eq!(old.generation(), 0);
-        assert_eq!(old.db().route_to("a", "u").unwrap(), "a!u");
+        assert_eq!(old.resolver().route_to("a", "u").unwrap(), "a!u");
         assert_eq!(cell.load().generation(), 1);
-        assert_eq!(cell.load().db().route_to("a", "u").unwrap(), "b!a!u");
+        assert_eq!(cell.load().resolver().route_to("a", "u").unwrap(), "b!a!u");
     }
 
     #[test]

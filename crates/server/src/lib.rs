@@ -24,8 +24,8 @@
 //!   validation of rebuilt maps;
 //! * [`daemon`] — TCP, Unix-socket, and UDP endpoints served by a
 //!   fixed pool of epoll/kqueue event-loop workers (`SO_REUSEPORT`
-//!   shards the accept load; non-unix platforms fall back to a thread
-//!   per connection), graceful [`drain`](ServerHandle::drain), and
+//!   shards the accept load; the daemon is unix-only), graceful
+//!   [`drain`](ServerHandle::drain), and
 //!   **sharded multi-map serving**: one daemon holds N named maps
 //!   (`--map-set`), each with its own snapshot, cache, counters, and
 //!   independent hot reload — unqualified requests go to the default
@@ -87,7 +87,7 @@ pub use client::{Client, ClientError, MapsInfo, PathInfo, QueryResult, UdpClient
 pub use daemon::{
     valid_map_name, Server, ServerConfig, ServerHandle, StartError, DEFAULT_MAP_NAME,
 };
-pub use index::{Cached, RouteIndex, SwapCell};
+pub use index::Cached;
 pub use metrics::{Metrics, ServerMetrics};
 pub use protocol::{parse_request, ProtoVersion, Request, Response, MAX_LINE};
 pub use reload::{LoadError, MapSource, StageCache};

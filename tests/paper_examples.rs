@@ -1,6 +1,7 @@
 //! Byte-exact reproductions of every worked example in the paper.
 //!
-//! Experiment ids refer to DESIGN.md §3.
+//! Experiment ids match the `## En` sections of `pathalias-bench`'s
+//! `experiments` binary (`crates/bench/src/bin/experiments.rs`).
 
 use pathalias::core::{compute_routes, map, CostModel, MapOptions};
 use pathalias::{parse, symbol_cost, Pathalias};
