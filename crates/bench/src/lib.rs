@@ -269,16 +269,13 @@ impl ReloadWorld {
         std::fs::write(&self.paths[self.file], text).expect("toggle map file");
     }
 
-    /// A map source with validation disabled (so `reload-full`
-    /// measures the remap itself, not the validation fan-out) plus its
-    /// stage cache, for checking the delta counter.
+    /// A map source over the world plus its stage cache, for checking
+    /// the delta counter.
     pub fn delta_source(&self) -> (pathalias_server::MapSource, pathalias_server::StageCache) {
         let cache = pathalias_server::StageCache::default();
         let source = pathalias_server::MapSource::Map {
             files: self.paths.clone(),
             options: self.options.clone(),
-            validate_sources: 0,
-            validate_threads: 1,
             cache: cache.clone(),
         };
         (source, cache)

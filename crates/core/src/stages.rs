@@ -17,8 +17,7 @@
 //! Re-entry is the point: holding a [`Frozen`] stage, you can map with
 //! different options (a different `-l` host, other penalties, traces)
 //! without re-parsing or re-freezing — this is how the server's hot
-//! reload skips the expensive stages when only mapping options change,
-//! and how multi-source validation fans out over one snapshot.
+//! reload skips the expensive stages when only mapping options change.
 //!
 //! # Examples
 //!

@@ -170,6 +170,34 @@ impl<'g> Run<'g> {
         (offer == Offer::Improved).then_some(cand_key)
     }
 
+    /// The lazy-deletion settle loop: pops the cheapest queued key,
+    /// skips entries superseded by a later improvement (one state-byte
+    /// test), marks the node mapped and relaxes its row, pushing every
+    /// improved head, until the queue runs dry.
+    fn settle(&mut self, mut heap: BinaryHeap<Reverse<Key>>) {
+        let f = self.f;
+        while let Some(Reverse(key)) = heap.pop() {
+            let u_raw = key as u32;
+            if self.state[u_raw as usize] & MAPPED != 0 {
+                self.stats.stale_pops += 1;
+                continue;
+            }
+            self.stats.pops += 1;
+            let u = NodeId::from_raw(u_raw);
+            self.state[u.index()] |= MAPPED;
+            self.stats.mapped += 1;
+            let tail = self.tail(u);
+            let (base_edge, row) = f.edge_slice(u);
+            self.stats.relaxations += row.len() as u64;
+            for (i, &edge) in row.iter().enumerate() {
+                if let Some(key) = self.relax(&tail, base_edge + i as u32, edge) {
+                    heap.push(Reverse(key));
+                    self.stats.pushes += 1;
+                }
+            }
+        }
+    }
+
     /// Materializes the packed run state into the public tree labels.
     fn finish(self, frozen: Arc<FrozenGraph>) -> ShortestPathTree {
         let labels = self
@@ -225,27 +253,7 @@ pub fn map_frozen_readonly(
     let mut heap: BinaryHeap<Reverse<Key>> = BinaryHeap::with_capacity(256);
     heap.push(Reverse(pack_key(0, 0, source.raw())));
     run.stats.pushes += 1;
-
-    while let Some(Reverse(key)) = heap.pop() {
-        let u_raw = key as u32;
-        if run.state[u_raw as usize] & MAPPED != 0 {
-            run.stats.stale_pops += 1; // Superseded by a later improvement.
-            continue;
-        }
-        run.stats.pops += 1;
-        let u = NodeId::from_raw(u_raw);
-        run.state[u.index()] |= MAPPED;
-        run.stats.mapped += 1;
-        let tail = run.tail(u);
-        let (base_edge, row) = f.edge_slice(u);
-        run.stats.relaxations += row.len() as u64;
-        for (i, &edge) in row.iter().enumerate() {
-            if let Some(key) = run.relax(&tail, base_edge + i as u32, edge) {
-                heap.push(Reverse(key));
-                run.stats.pushes += 1;
-            }
-        }
-    }
+    run.settle(heap);
     Ok(run.finish(f.clone()))
 }
 
@@ -478,27 +486,8 @@ pub fn repair_frozen(
         }
     }
 
-    // The ordinary lazy-deletion loop over the seeded frontier.
-    while let Some(Reverse(key)) = heap.pop() {
-        let u_raw = key as u32;
-        if run.state[u_raw as usize] & MAPPED != 0 {
-            run.stats.stale_pops += 1;
-            continue;
-        }
-        run.stats.pops += 1;
-        let u = NodeId::from_raw(u_raw);
-        run.state[u.index()] |= MAPPED;
-        run.stats.mapped += 1;
-        let tail = run.tail(u);
-        let (base_edge, row) = graph.edge_slice(u);
-        run.stats.relaxations += row.len() as u64;
-        for (i, &edge) in row.iter().enumerate() {
-            if let Some(key) = run.relax(&tail, base_edge + i as u32, edge) {
-                heap.push(Reverse(key));
-                run.stats.pushes += 1;
-            }
-        }
-    }
+    // The ordinary settle loop over the seeded frontier.
+    run.settle(heap);
 
     // The reached set must be exactly the old one: anything else means
     // the back-link pass would run differently on a cold start.

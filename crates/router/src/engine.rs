@@ -148,13 +148,18 @@ impl PointToPoint {
         &self.model
     }
 
-    /// Resolves `src → dst` by name with the bidirectional search.
+    /// Resolves `src → dst` by name through the search ladder (see
+    /// [`route_ids`](Self::route_ids)).
     pub fn route(&self, src: &str, dst: &str) -> Result<PathAnswer, RouteError> {
         let (s, d) = self.resolve(src, dst)?;
         self.route_ids(s, d)
     }
 
-    /// Resolves `src → dst` by id with the bidirectional search.
+    /// Resolves `src → dst` by id through the search ladder: the
+    /// contraction hierarchy when the engine carries one, then the
+    /// bidirectional search, then the forward oracle — each tier
+    /// answers only what it certifies, so every tier gives the
+    /// oracle's answer.
     pub fn route_ids(&self, src: NodeId, dst: NodeId) -> Result<PathAnswer, RouteError> {
         self.run(src, dst, true).map(|(a, _)| a)
     }

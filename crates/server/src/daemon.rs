@@ -30,8 +30,6 @@
 
 use crate::index::Cached;
 use crate::metrics::{bump, Metrics, ServerMetrics};
-#[cfg(test)]
-use crate::protocol::{ProtoVersion, MAX_LINE};
 use crate::protocol::{Request, Response};
 use crate::reload::MapSource;
 use crate::telemetry::{duration_ns, render_slow_entry, MapTelemetry};
@@ -39,8 +37,6 @@ use pathalias_mailer::{BoxedResolver, ResolveError, Resolver};
 use pathalias_router::{PointToPoint, RouteError};
 use pathalias_telemetry::{Logger, PromText, SlowEntry};
 use std::io;
-#[cfg(test)]
-use std::io::{BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
@@ -207,7 +203,9 @@ impl State {
 
     /// Resolves one `PATH` request against one map. `src == "*"` lists
     /// the one-hop predecessors of `dst` from the reverse index;
-    /// otherwise it is a point-to-point bidirectional Dijkstra.
+    /// otherwise the engine's search ladder answers it: the
+    /// contraction hierarchy when the map has one, then bidirectional
+    /// Dijkstra, then the forward oracle.
     /// `wire_name` is echoed in the response for qualified requests.
     fn respond_path(
         &self,
@@ -780,78 +778,6 @@ fn outcome_of(resp: &Response) -> &'static str {
     }
 }
 
-/// How one attempt to read a line ended.
-#[cfg(test)]
-#[derive(Debug)]
-enum LineRead {
-    /// A complete line was delivered.
-    Line,
-    /// Clean end of stream.
-    Eof,
-    /// The read timed out with no complete line yet; any partial bytes
-    /// stay in `partial` and the caller may retry after checking for
-    /// shutdown.
-    Idle,
-}
-
-/// Reads one `\n`-terminated line with a hard length cap. Partial
-/// bytes accumulate in `partial` across `Idle` returns (read
-/// timeouts), so a slow sender is never corrupted by the shutdown
-/// poll. `Err` with `InvalidData` means the peer sent an over-long
-/// line.
-#[cfg(test)]
-fn read_bounded_line(
-    reader: &mut impl BufRead,
-    partial: &mut Vec<u8>,
-    line: &mut String,
-) -> io::Result<LineRead> {
-    line.clear();
-    // Raw bytes, decoded once at the end: a multi-byte UTF-8 character
-    // split across two buffer refills must not be mangled
-    // chunk-by-chunk.
-    let mut terminated = false;
-    loop {
-        let (chunk_len, found_newline) = {
-            let buf = match reader.fill_buf() {
-                Ok(buf) => buf,
-                Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
-                {
-                    return Ok(LineRead::Idle);
-                }
-                Err(e) => return Err(e),
-            };
-            if buf.is_empty() {
-                break; // EOF
-            }
-            let (chunk, found_newline) = match buf.iter().position(|&b| b == b'\n') {
-                Some(i) => (&buf[..i], true),
-                None => (buf, false),
-            };
-            if partial.len() + chunk.len() > MAX_LINE {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    "request line too long",
-                ));
-            }
-            partial.extend_from_slice(chunk);
-            (chunk.len(), found_newline)
-        };
-        reader.consume(chunk_len + usize::from(found_newline));
-        if found_newline {
-            terminated = true;
-            break;
-        }
-    }
-    if partial.is_empty() && !terminated {
-        return Ok(LineRead::Eof); // clean EOF (a bare newline is a blank line, not EOF)
-    }
-    line.push_str(&String::from_utf8_lossy(partial));
-    partial.clear();
-    Ok(LineRead::Line)
-}
-
 /// The daemon entry point.
 pub struct Server;
 
@@ -924,6 +850,7 @@ impl Server {
         let server_metrics = Arc::new(ServerMetrics::default());
         let mut maps = Vec::with_capacity(config.maps.len());
         for (name, source) in config.maps {
+            let start = Instant::now();
             let (resolver, engine, _) =
                 source
                     .load_serving_timed()
@@ -936,6 +863,7 @@ impl Server {
                 .field("map", &name)
                 .field("source", source.kind())
                 .field("entries", resolver.entries())
+                .field("duration_ms", start.elapsed().as_millis())
                 .emit();
             let metrics = Arc::new(Metrics::default());
             let capacity = config
@@ -1323,7 +1251,7 @@ impl ServerHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Cursor, Read};
+    use crate::protocol::ProtoVersion;
 
     fn temp_routes(tag: &str, text: &str) -> PathBuf {
         let path = std::env::temp_dir().join(format!(
@@ -1814,90 +1742,6 @@ mod tests {
         assert!(!valid_map_name("@a"));
     }
 
-    #[test]
-    fn bounded_line_reader() {
-        let mut partial = Vec::new();
-        let mut ok = BufReader::new(Cursor::new(b"QUERY a\n".to_vec()));
-        let mut line = String::new();
-        assert!(matches!(
-            read_bounded_line(&mut ok, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, "QUERY a");
-
-        let mut eof = BufReader::new(Cursor::new(Vec::new()));
-        assert!(matches!(
-            read_bounded_line(&mut eof, &mut partial, &mut line).unwrap(),
-            LineRead::Eof
-        ));
-
-        // No trailing newline: still delivered at EOF.
-        let mut tail = BufReader::new(Cursor::new(b"HEALTH".to_vec()));
-        assert!(matches!(
-            read_bounded_line(&mut tail, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, "HEALTH");
-
-        let mut long = BufReader::new(Cursor::new(vec![b'x'; MAX_LINE + 10]));
-        let err = read_bounded_line(&mut long, &mut partial, &mut line).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        partial.clear();
-
-        // A blank line is a line, not EOF.
-        let mut blank = BufReader::new(Cursor::new(b"\nHEALTH\n".to_vec()));
-        assert!(matches!(
-            read_bounded_line(&mut blank, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, "");
-        assert!(matches!(
-            read_bounded_line(&mut blank, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, "HEALTH");
-    }
-
-    #[test]
-    fn partial_bytes_survive_idle_polls() {
-        // A reader that delivers half a request, then times out, then
-        // delivers the rest — the line must come out whole.
-        struct Stutter {
-            chunks: Vec<Result<Vec<u8>, io::ErrorKind>>,
-        }
-        impl Read for Stutter {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                match self.chunks.pop() {
-                    Some(Ok(bytes)) => {
-                        buf[..bytes.len()].copy_from_slice(&bytes);
-                        Ok(bytes.len())
-                    }
-                    Some(Err(kind)) => Err(io::Error::new(kind, "timeout")),
-                    None => Ok(0),
-                }
-            }
-        }
-        let mut reader = BufReader::new(Stutter {
-            chunks: vec![
-                Ok(b" rick\n".to_vec()),
-                Err(io::ErrorKind::WouldBlock),
-                Ok(b"QUERY seismo".to_vec()),
-            ],
-        });
-        let mut partial = Vec::new();
-        let mut line = String::new();
-        assert!(matches!(
-            read_bounded_line(&mut reader, &mut partial, &mut line).unwrap(),
-            LineRead::Idle
-        ));
-        assert!(!partial.is_empty(), "partial request retained");
-        assert!(matches!(
-            read_bounded_line(&mut reader, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, "QUERY seismo rick");
-    }
-
     /// Joins a multi-line response (header + payload lines) back into
     /// the text document, checking the header's line count on the way.
     fn payload_text(responses: &[Response]) -> String {
@@ -2139,25 +1983,6 @@ mod tests {
             slow.iter()
                 .any(|e| e.verb == "RELOAD" && e.outcome == "error"),
             "{slow:?}"
-        );
-    }
-
-    #[test]
-    fn multibyte_utf8_survives_buffer_refills() {
-        // A 1-byte BufReader forces every UTF-8 character to straddle
-        // a refill boundary; the line must still decode intact.
-        let text = "QUERY zürich.üñî.example häns\n";
-        let mut tiny = BufReader::with_capacity(1, Cursor::new(text.as_bytes().to_vec()));
-        let mut partial = Vec::new();
-        let mut line = String::new();
-        assert!(matches!(
-            read_bounded_line(&mut tiny, &mut partial, &mut line).unwrap(),
-            LineRead::Line
-        ));
-        assert_eq!(line, text.trim_end());
-        assert!(
-            !line.contains('\u{FFFD}'),
-            "no replacement characters: {line}"
         );
     }
 }

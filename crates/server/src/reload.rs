@@ -1,7 +1,8 @@
 //! Table sources and hot reload.
 //!
-//! The daemon can be pointed at any of the four shapes route data
-//! takes in this project: a PADB1 disk database, a linear route file
+//! The daemon can be pointed at any of the five shapes route data
+//! takes in this project: a PADB1 disk database loaded into memory,
+//! the same file served in place through mmap, a linear route file
 //! (pathalias output), a PAGF1 frozen-graph snapshot (`pathalias
 //! freeze` output, re-entering the staged pipeline at the frozen
 //! stage), or raw map files that get run through the staged
@@ -11,15 +12,21 @@
 //! snapshot, and a failed rebuild leaves the old table serving
 //! untouched.
 //!
-//! Map-file sources go through the staged API and keep the expensive
-//! stages cached: the parsed/built/frozen snapshot is fingerprinted
-//! against the input files (path, mtime, size), so a `RELOAD` whose
-//! map files have not changed — because only mapping options changed,
-//! or because an operator hits reload twice — skips straight to the
-//! map stage instead of re-parsing the world.
+//! The two pipeline sources (snapshot and map files) load through one
+//! [`StageCache`], keyed by the stamps of their files: path, size and
+//! mtime, plus the inode and ctime on unix. A `RELOAD`
+//!
+//! * whose stamps and options are unchanged serves the cached
+//!   resolver and point-to-point engine as they are — no stage runs,
+//!   so an operator hitting reload twice costs a few `stat`s;
+//! * whose stamps are unchanged but options moved re-maps the cached
+//!   frozen stage, skipping parse/build/freeze (or the snapshot read);
+//! * whose map files changed repairs the cached stages in place when
+//!   the edit is provably safe, and otherwise re-runs the full
+//!   pipeline.
 
 use pathalias_core::{
-    parallel, plan_delta, render, repair_frozen, update_routes, DeltaPlan, EdgeShift, Frozen,
+    plan_delta, render, repair_frozen, update_routes, CostModel, DeltaPlan, EdgeShift, Frozen,
     FrozenGraph, MapOptions, Mapped, NodeId, Options, Parsed, PhaseTimings, PrintOptions, Printed,
     RowPatch, SnapshotError,
 };
@@ -98,41 +105,78 @@ fn stamp(p: &PathBuf) -> std::io::Result<FileStamp> {
     })
 }
 
-/// The cached expensive stages of a map-file source, shared across
-/// clones of the [`MapSource`] (the daemon clones its source into
-/// connection state).
+/// The cached stages of a pipeline source, shared across clones of
+/// the [`MapSource`] (the daemon clones its source into connection
+/// state).
 #[derive(Clone, Default)]
 pub struct StageCache {
     slot: Arc<Mutex<Option<CachedStages>>>,
     delta_reloads: Arc<AtomicU64>,
 }
 
+/// The last successful load of a pipeline source.
 struct CachedStages {
     fingerprint: Fingerprint,
-    ignore_case: bool,
     frozen: Frozen,
-    /// The input texts `frozen` was built from (map-file sources only)
-    /// — what the next reload diffs against.
-    parsed: Option<Parsed>,
-    /// The serving artifacts of the last successful load, kept so an
-    /// incremental reload can repair them instead of recomputing.
-    serving: Option<ServingState>,
+    serving: ServingState,
+    /// What the incremental path diffs and repairs. Map-file sources
+    /// only: a snapshot has no input texts to diff, so keeping its
+    /// tree and table would only hold memory.
+    basis: Option<DeltaBasis>,
 }
 
-/// Everything the incremental reload path repairs in place.
+/// What one load serves, kept so that a reload whose stamps and
+/// options are unchanged serves it again. Cloning is a few refcount
+/// bumps.
+#[derive(Clone)]
 struct ServingState {
     options: Options,
-    mapped: Mapped,
-    /// `Arc`, so a repair that proves the printed table unchanged can
-    /// carry it into the next generation without cloning a
-    /// million-entry route table.
-    printed: Arc<Printed>,
-    /// The resolver handle served from `printed.routes` (an `Arc`
-    /// wrapper — cloning is a refcount bump, so a reload whose inputs
-    /// did not change at all serves the cached table directly).
     db: SharedRouteDb,
-    /// The point-to-point engine over `mapped.tree`'s graph.
     engine: Arc<PointToPoint>,
+}
+
+/// The inputs and outputs of a map-file source's last mapping run.
+#[derive(Clone)]
+struct DeltaBasis {
+    /// The input texts the frozen stage was built from.
+    parsed: Arc<Parsed>,
+    mapped: Arc<Mapped>,
+    /// `Arc`, so a repair that proves the printed table unchanged can
+    /// carry it into the next generation without cloning it.
+    printed: Arc<Printed>,
+}
+
+impl ServingState {
+    /// Assembles what a mapping run over `frozen` serves: `db` when
+    /// the table is already being served, else a resolver over
+    /// `printed`, and the engine by [`engine_for`]'s rule. The engine
+    /// and the table come from the *same* mapping run, so they can
+    /// never disagree about what the world looks like.
+    fn new(
+        frozen: &Frozen,
+        options: &Options,
+        mapped: &Mapped,
+        printed: &Printed,
+        db: Option<SharedRouteDb>,
+    ) -> ServingState {
+        // The engine first: a hierarchy build is the load's memory
+        // peak, and the resolver need not be resident during it.
+        let engine = engine_for(frozen, mapped.tree.frozen(), options.cost_model);
+        let db = db.unwrap_or_else(|| SharedRouteDb::new(RouteDb::from_table(&printed.routes)));
+        ServingState {
+            options: options.clone(),
+            db,
+            engine: Arc::new(engine),
+        }
+    }
+
+    fn parts(&self, timings: PhaseTimings) -> ServingParts {
+        (
+            Box::new(self.db.clone()),
+            Some(self.engine.clone()),
+            timings,
+        )
+    }
 }
 
 impl StageCache {
@@ -146,11 +190,47 @@ impl StageCache {
             .map(|c| c.frozen.graph().clone())
     }
 
-    /// How many reloads were absorbed by the incremental (delta) path
-    /// instead of the full pipeline (used by tests to prove the fast
-    /// path actually ran).
+    /// How many reloads were served without the full pipeline: the
+    /// unchanged ones, and for map-file sources the incremental
+    /// (delta) repairs (used by tests to prove the fast path actually
+    /// ran).
     pub fn delta_reloads(&self) -> u64 {
         self.delta_reloads.load(Ordering::Relaxed)
+    }
+
+    /// The one load path of the pipeline sources: serve the cached
+    /// artifacts when nothing moved, else repair them incrementally,
+    /// else run the full pipeline. `snapshot` says how a stale frozen
+    /// stage is rebuilt: re-read from the `.pagf` that is `paths`' one
+    /// entry, or parsed, built and frozen from the map files. Only a
+    /// successful load is committed.
+    fn load(
+        &self,
+        paths: &[PathBuf],
+        snapshot: bool,
+        options: &Options,
+    ) -> Result<ServingParts, LoadError> {
+        let fp = fingerprint(paths)?;
+        let mut slot = self.slot.lock().expect("stage cache poisoned");
+        let cached = slot.as_ref();
+        if let Some(c) = cached.filter(|c| c.fingerprint == fp && c.serving.options == *options) {
+            self.delta_reloads.fetch_add(1, Ordering::Relaxed);
+            return Ok(c.serving.parts(PhaseTimings::default()));
+        }
+        let delta = match cached {
+            Some(c) => try_delta_reload(paths, &fp, options, c)?,
+            None => None,
+        };
+        let (next, timings) = match delta {
+            Some(next) => {
+                self.delta_reloads.fetch_add(1, Ordering::Relaxed);
+                next
+            }
+            None => full_reload(paths, snapshot, fp, options, cached)?,
+        };
+        let parts = next.serving.parts(timings);
+        *slot = Some(next);
+        Ok(parts)
     }
 }
 
@@ -178,28 +258,23 @@ pub enum MapSource {
     /// A PAGF1 frozen-graph snapshot written by `pathalias freeze`:
     /// the staged pipeline re-enters at the frozen stage, so a cold
     /// start skips parse/build/freeze entirely and a `RELOAD` whose
-    /// snapshot file is unchanged skips even the load.
+    /// snapshot file is unchanged serves the cached table and engine.
     FrozenSnapshot {
         /// The `.pagf` file.
         path: PathBuf,
         /// Mapping/printing options (`-l`, ...; the build-stage
         /// options are baked into the snapshot).
         options: Options,
-        /// Cached frozen stage, keyed by the file's fingerprint.
+        /// Cached stages, keyed by the file's fingerprint.
         cache: StageCache,
     },
     /// Map files run through the staged pipeline on every (re)load,
-    /// with the parse/build/freeze stages cached across reloads.
+    /// with the stages cached across reloads.
     Map {
         /// Input map files, parsed in order.
         files: Vec<PathBuf>,
         /// Pipeline options (`-l`, `-i`, ...).
         options: Options,
-        /// Validate the rebuilt graph by mapping from this many extra
-        /// sources (0 disables validation).
-        validate_sources: usize,
-        /// Worker threads for the validation fan-out.
-        validate_threads: usize,
         /// Cached stages, keyed by the files' fingerprint.
         cache: StageCache,
     },
@@ -218,7 +293,7 @@ pub enum LoadError {
     Db(DbError),
     /// The map pipeline failed (parse or map error).
     Pipeline(pathalias_core::Error),
-    /// Multi-source validation found an unmappable source.
+    /// The rebuilt map has no host to route from.
     Validation(String),
 }
 
@@ -256,21 +331,16 @@ impl From<SnapshotError> for LoadError {
 }
 
 impl MapSource {
-    /// A map-file source with validation defaults: a handful of extra
-    /// mapping sources checked on the machine's cores.
+    /// A map-file source with an empty stage cache.
     pub fn map_files(files: Vec<PathBuf>, options: Options) -> MapSource {
         MapSource::Map {
             files,
             options,
-            validate_sources: 4,
-            validate_threads: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(2),
             cache: StageCache::default(),
         }
     }
 
-    /// A frozen-snapshot source with the default stage cache.
+    /// A frozen-snapshot source with an empty stage cache.
     pub fn frozen_snapshot(path: PathBuf, options: Options) -> MapSource {
         MapSource::FrozenSnapshot {
             path,
@@ -301,225 +371,142 @@ impl MapSource {
         }
     }
 
-    /// Builds the serving backend from the source, as a boxed
-    /// [`Resolver`](pathalias_mailer::Resolver). Pure with respect to
-    /// serving state: the caller decides when (and whether) to swap.
+    /// Loads the source: the resolver, the point-to-point engine when
+    /// the source holds a frozen graph, and how long each pipeline
+    /// phase took. Pure with respect to serving state: the caller
+    /// decides when (and whether) to swap.
     ///
-    /// Every source except [`MapSource::PadbMmap`] materializes an
-    /// in-memory table; `PadbMmap` opens the file for in-place serving
-    /// without loading the blob at all.
-    pub fn load_resolver(&self) -> Result<BoxedResolver, LoadError> {
-        self.load_resolver_timed().map(|(resolver, _)| resolver)
-    }
-
-    /// [`MapSource::load_resolver`] plus the pipeline's per-phase
-    /// timings for the load, so a reload can export where its time
-    /// went. Stages skipped by the fingerprint cache (an unchanged
-    /// `.pagf`, a `RELOAD` whose map files did not move) report zero —
-    /// the zeros *are* the cache working.
-    pub fn load_resolver_timed(&self) -> Result<(BoxedResolver, PhaseTimings), LoadError> {
-        match self {
-            MapSource::PadbMmap(path) => {
-                let t0 = Instant::now();
-                let resolver: BoxedResolver = Box::new(MappedDb::open(path)?);
-                let timings = PhaseTimings {
-                    parse: t0.elapsed(),
-                    ..PhaseTimings::default()
-                };
-                Ok((resolver, timings))
-            }
-            other => {
-                let (db, timings) = other.load_timed()?;
-                Ok((Box::new(SharedRouteDb::new(db)), timings))
-            }
-        }
-    }
-
-    /// [`MapSource::load_resolver_timed`] plus the point-to-point
-    /// engine, for sources that hold a frozen graph. Pipeline sources
-    /// (`map`, `pagf`) build a [`PointToPoint`] over the mapped tree's
-    /// *augmented* graph — the same snapshot (back links included) the
-    /// printed table came from, so `PATH <home> <x>` and `QUERY <x>`
-    /// answer byte-identically. Table-only sources (`routes`, `padb`,
-    /// `padb-mmap`) have no graph and return `None`: the daemon
-    /// refuses `PATH` on them.
+    /// Table-only sources (`routes`, `padb`, `padb-mmap`) have no
+    /// graph and return no engine: the daemon refuses `PATH` on them.
+    /// Their whole ingest is reported as the `parse` phase, and
+    /// `padb-mmap` opens the file for in-place serving without loading
+    /// the blob at all.
     ///
-    /// When a `.pagf` snapshot stored its reverse-index section and
-    /// mapping invented no back links, the stored transpose is reused
-    /// instead of rebuilt.
+    /// Pipeline sources (`pagf`, `map`) build a [`PointToPoint`] over
+    /// the mapped tree's *augmented* graph — the same snapshot (back
+    /// links included) the printed table came from, so
+    /// `PATH <home> <x>` and `QUERY <x>` answer byte-identically.
+    /// Stages skipped by the [`StageCache`] report zero — the zeros
+    /// *are* the cache working.
     pub fn load_serving_timed(&self) -> Result<ServingParts, LoadError> {
-        match self {
-            MapSource::Padb(_) | MapSource::PadbMmap(_) | MapSource::Routes(_) => {
-                let (resolver, timings) = self.load_resolver_timed()?;
-                Ok((resolver, None, timings))
+        let t0 = Instant::now();
+        let resolver: BoxedResolver = match self {
+            MapSource::Padb(path) => {
+                let db = RouteDb::from_entries(DiskDb::open(path)?.read_all()?);
+                Box::new(SharedRouteDb::new(db))
             }
-            MapSource::FrozenSnapshot {
-                path,
-                options,
-                cache,
-            } => {
-                let (frozen, mut timings) = snapshot_stage(path, cache)?;
-                let (db, engine, _, _) = map_print_engine(&frozen, options, &mut timings)?;
-                Ok((
-                    Box::new(SharedRouteDb::new(db)),
-                    Some(Arc::new(engine)),
-                    timings,
-                ))
-            }
-            MapSource::Map {
-                files,
-                options,
-                validate_sources,
-                validate_threads,
-                cache,
-            } => {
-                // The incremental path: diff the re-read inputs against
-                // the cached ones and repair the serving artifacts in
-                // place when the edit is provably safe.
-                if let Some(out) = try_delta_reload(files, options, cache)? {
-                    return Ok(out);
-                }
-                let (frozen, mut timings) = frozen_stage(files, options, cache)?;
-                let (db, engine, mapped, printed) =
-                    map_print_engine(&frozen, options, &mut timings)?;
-                if *validate_sources > 0 {
-                    validate(frozen.graph(), *validate_sources, *validate_threads)?;
-                }
-                let db = SharedRouteDb::new(db);
-                let engine = Arc::new(engine);
-                // Remember the serving artifacts so the next reload can
-                // repair them incrementally.
-                if let Some(cached) = cache.slot.lock().expect("stage cache poisoned").as_mut() {
-                    cached.serving = Some(ServingState {
-                        options: options.clone(),
-                        mapped,
-                        printed: Arc::new(printed),
-                        db: db.clone(),
-                        engine: engine.clone(),
-                    });
-                }
-                Ok((Box::new(db), Some(engine), timings))
-            }
-        }
-    }
-
-    /// Builds a fresh [`RouteDb`] from the source. For
-    /// [`MapSource::PadbMmap`] this reads the whole table into memory
-    /// (use [`MapSource::load_resolver`] to serve in place).
-    pub fn load(&self) -> Result<RouteDb, LoadError> {
-        self.load_timed().map(|(db, _)| db)
-    }
-
-    /// [`MapSource::load`] plus per-phase timings. Non-pipeline
-    /// sources (PADB1, linear route files) report their whole ingest
-    /// as the `parse` phase; pipeline sources report each stage they
-    /// actually ran.
-    pub fn load_timed(&self) -> Result<(RouteDb, PhaseTimings), LoadError> {
-        match self {
-            MapSource::Padb(path) | MapSource::PadbMmap(path) => {
-                let t0 = Instant::now();
-                let mut disk = DiskDb::open(path)?;
-                let db = RouteDb::from_entries(disk.read_all()?);
-                let timings = PhaseTimings {
-                    parse: t0.elapsed(),
-                    ..PhaseTimings::default()
-                };
-                Ok((db, timings))
-            }
+            MapSource::PadbMmap(path) => Box::new(MappedDb::open(path)?),
             MapSource::Routes(path) => {
-                let t0 = Instant::now();
                 let text = std::fs::read_to_string(path)?;
                 let db = RouteDb::from_output(&text).map_err(LoadError::Db)?;
-                let timings = PhaseTimings {
-                    parse: t0.elapsed(),
-                    ..PhaseTimings::default()
-                };
-                Ok((db, timings))
+                Box::new(SharedRouteDb::new(db))
             }
             MapSource::FrozenSnapshot {
                 path,
                 options,
                 cache,
-            } => {
-                // The snapshot was validated (checksum + structure)
-                // when it was frozen and is re-validated on load, so
-                // no multi-source mapping fan-out here — cold-start
-                // latency is the whole point of this source.
-                let (frozen, mut timings) = snapshot_stage(path, cache)?;
-                let t0 = Instant::now();
-                let mapped = frozen.map(options).map_err(LoadError::Pipeline)?;
-                timings.map = t0.elapsed();
-                let t0 = Instant::now();
-                let printed = mapped.print(options);
-                timings.print = t0.elapsed();
-                Ok((RouteDb::from_table(&printed.routes), timings))
-            }
+            } => return cache.load(std::slice::from_ref(path), true, options),
             MapSource::Map {
                 files,
                 options,
-                validate_sources,
-                validate_threads,
                 cache,
-            } => {
-                let (frozen, mut timings) = frozen_stage(files, options, cache)?;
-                let t0 = Instant::now();
-                let mapped = frozen.map(options).map_err(LoadError::Pipeline)?;
-                timings.map = t0.elapsed();
-                let t0 = Instant::now();
-                let printed = mapped.print(options);
-                timings.print = t0.elapsed();
-                if *validate_sources > 0 {
-                    validate(frozen.graph(), *validate_sources, *validate_threads)?;
-                }
-                Ok((RouteDb::from_table(&printed.routes), timings))
-            }
-        }
+            } => return cache.load(files, false, options),
+        };
+        let timings = PhaseTimings {
+            parse: t0.elapsed(),
+            ..PhaseTimings::default()
+        };
+        Ok((resolver, None, timings))
     }
 }
 
-/// The map and print stages plus the point-to-point engine over the
-/// mapped tree's augmented graph. The engine and the table come from
-/// the *same* mapping run, so they can never disagree about what the
-/// world looks like.
-fn map_print_engine(
-    frozen: &Frozen,
+/// The full pipeline from the frozen stage on. The cached stage is
+/// reused when the stamps are unchanged (for map files, also
+/// `ignore_case`, the one option the build stage reads); otherwise it
+/// is rebuilt, and its timings cover the stages that ran.
+fn full_reload(
+    paths: &[PathBuf],
+    snapshot: bool,
+    fingerprint: Fingerprint,
     options: &Options,
-    timings: &mut PhaseTimings,
-) -> Result<(RouteDb, PointToPoint, Mapped, Printed), LoadError> {
+    cached: Option<&CachedStages>,
+) -> Result<(CachedStages, PhaseTimings), LoadError> {
+    let mut timings = PhaseTimings::default();
+    let (frozen, parsed) = match cached {
+        Some(c)
+            if c.fingerprint == fingerprint
+                && (snapshot || c.frozen.graph().ignore_case() == options.ignore_case) =>
+        {
+            (c.frozen.clone(), c.basis.as_ref().map(|b| b.parsed.clone()))
+        }
+        _ if snapshot => {
+            let frozen = Frozen::from_snapshot(&paths[0])?;
+            timings.freeze = frozen.freeze_time;
+            (frozen, None)
+        }
+        _ => {
+            let t0 = Instant::now();
+            let mut parsed = Parsed::new();
+            parsed.push_files(paths)?;
+            timings.parse = t0.elapsed();
+            let built = parsed.build(options).map_err(LoadError::Pipeline)?;
+            timings.build = built.build_time;
+            let frozen = built.freeze();
+            timings.freeze = frozen.freeze_time;
+            (frozen, Some(Arc::new(parsed)))
+        }
+    };
+
     let t0 = Instant::now();
     let mapped = frozen.map(options).map_err(LoadError::Pipeline)?;
     timings.map = t0.elapsed();
     let t0 = Instant::now();
     let printed = mapped.print(options);
     timings.print = t0.elapsed();
-    let aug = mapped.tree.frozen().clone();
-    // Back-link invention replaces the snapshot graph; only when the
-    // tree still points at the very same graph are the stored sections
-    // (transpose, hierarchy) valid. A stage that carried a hierarchy is
-    // an operator opt-in (`freeze --ch`), so when back links changed
-    // the graph the hierarchy is rebuilt over the augmented snapshot
-    // rather than silently lost.
-    let engine = if Arc::ptr_eq(&aug, frozen.graph()) {
+    // `delete`d nodes and networks are not places mail originates: a
+    // world with nothing else in it routes nowhere.
+    let g = frozen.graph();
+    if !g.node_ids().any(|id| g.is_mappable(id) && !g.is_net(id)) {
+        return Err(LoadError::Validation("rebuilt map has no hosts".into()));
+    }
+    let serving = ServingState::new(&frozen, options, &mapped, &printed, None);
+    let basis = parsed.map(|parsed| DeltaBasis {
+        parsed,
+        mapped: Arc::new(mapped),
+        printed: Arc::new(printed),
+    });
+    let next = CachedStages {
+        fingerprint,
+        frozen,
+        serving,
+        basis,
+    };
+    Ok((next, timings))
+}
+
+/// The point-to-point engine over `graph`, the graph a mapping run
+/// over `frozen` ended on. Back-link invention replaces the snapshot
+/// graph; only when the run ended on the very same graph are the
+/// stage's stored sections (transpose, hierarchy) valid. A stage that
+/// carried a hierarchy is an operator opt-in (`freeze --ch`), so when
+/// back links changed the graph the hierarchy is rebuilt over the
+/// augmented snapshot rather than silently lost. Stages patched by
+/// the incremental path carry no sections, so they get a plain
+/// engine.
+fn engine_for(frozen: &Frozen, graph: &Arc<FrozenGraph>, model: CostModel) -> PointToPoint {
+    let graph = graph.clone();
+    if Arc::ptr_eq(&graph, frozen.graph()) {
         match frozen.reverse_index() {
-            Some(rev) => PointToPoint::with_sections(
-                aug,
-                rev.clone(),
-                frozen.hierarchy().cloned(),
-                options.cost_model,
-            ),
-            None => PointToPoint::new(aug, options.cost_model),
+            Some(rev) => {
+                PointToPoint::with_sections(graph, rev.clone(), frozen.hierarchy().cloned(), model)
+            }
+            None => PointToPoint::new(graph, model),
         }
     } else if frozen.hierarchy().is_some() {
-        PointToPoint::with_fresh_hierarchy(aug, options.cost_model)
+        PointToPoint::with_fresh_hierarchy(graph, model)
     } else {
-        PointToPoint::new(aug, options.cost_model)
-    };
-    Ok((
-        RouteDb::from_table(&printed.routes),
-        engine,
-        mapped,
-        printed,
-    ))
+        PointToPoint::new(graph, model)
+    }
 }
 
 /// The O(delta) reload path: diff the re-read map files against the
@@ -532,71 +519,48 @@ fn map_print_engine(
 /// full run stays the oracle, the delta path only ever reproduces it
 /// faster.
 ///
-/// Two conservative drops on this path, both because "stale index
-/// answers queries wrongly" beats "reload is slower":
-///
-/// * the point-to-point engine is rebuilt over the repaired tree's
-///   graph without a contraction hierarchy — a CH is cost-dependent
-///   and serving yesterday's hierarchy across a cost change would
-///   return wrong `PATH` answers;
-/// * the multi-source validation fan-out is skipped — it costs more
-///   than the repair itself, and the repair's own post-conditions
-///   (labelled set identical to the previous run's) already prove the
-///   patched world maps.
+/// The patched stage drops the contraction hierarchy rather than
+/// patch it: a CH is cost-dependent, and serving yesterday's hierarchy
+/// across a cost change would return wrong `PATH` answers ("stale
+/// index answers queries wrongly" beats "reload is slower").
 fn try_delta_reload(
     files: &[PathBuf],
+    fp: &Fingerprint,
     options: &Options,
-    cache: &StageCache,
-) -> Result<Option<ServingParts>, LoadError> {
-    // Only the plain serve configuration repairs: traces print
+    cached: &CachedStages,
+) -> Result<Option<(CachedStages, PhaseTimings)>, LoadError> {
+    // Only the plain serve configuration repairs, and only under the
+    // options the cached tree was mapped with: traces print
     // per-relaxation output a repair would truncate, and the
     // second-best dual has no incremental form.
-    if !options.trace.is_empty() || options.second_best {
+    let serving = &cached.serving;
+    if !options.trace.is_empty() || options.second_best || serving.options != *options {
         return Ok(None);
     }
-    let fp = fingerprint(files)?;
-    let mut slot = cache.slot.lock().expect("stage cache poisoned");
-    let Some(cached) = slot.as_mut() else {
+    let Some(basis) = &cached.basis else {
         return Ok(None);
     };
-    if cached.ignore_case != options.ignore_case {
-        return Ok(None);
-    }
-    let (Some(parsed), Some(serving)) = (&cached.parsed, &cached.serving) else {
-        return Ok(None);
-    };
-    if serving.options != *options {
-        return Ok(None);
-    }
-    if cached.fingerprint == fp {
-        // Nothing moved at all: serve the cached artifacts as-is.
-        let out = (
-            Box::new(serving.db.clone()) as BoxedResolver,
-            serving.engine.clone(),
-        );
-        drop(slot);
-        cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
-        return Ok(Some((out.0, Some(out.1), PhaseTimings::default())));
-    }
+    let parsed = &basis.parsed;
 
     let mut timings = PhaseTimings::default();
     let t0 = Instant::now();
-    let new_parsed = reread_changed(files, parsed, &cached.fingerprint, &fp)?;
+    let new_parsed = Arc::new(reread_changed(files, parsed, &cached.fingerprint, fp)?);
     let plan = plan_delta(parsed.inputs(), new_parsed.inputs(), cached.frozen.graph());
     timings.parse = t0.elapsed();
     let patches = match plan {
         DeltaPlan::Unchanged => {
             // Comment/whitespace-only edit: adopt the new bytes, keep
             // serving the unchanged world.
-            let out = (
-                Box::new(serving.db.clone()) as BoxedResolver,
-                serving.engine.clone(),
-            );
-            cached.fingerprint = fp;
-            cached.parsed = Some(new_parsed);
-            drop(slot);
-            cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
-            return Ok(Some((out.0, Some(out.1), timings)));
+            let next = CachedStages {
+                fingerprint: fp.clone(),
+                frozen: cached.frozen.clone(),
+                serving: serving.clone(),
+                basis: Some(DeltaBasis {
+                    parsed: new_parsed,
+                    ..basis.clone()
+                }),
+            };
+            return Ok(Some((next, timings)));
         }
         DeltaPlan::Fallback(_why) => return Ok(None),
         DeltaPlan::Patch { patches } => patches,
@@ -620,38 +584,26 @@ fn try_delta_reload(
     // the base snapshot itself; otherwise it runs over an augmented
     // snapshot (base plus invented BACK rows) that has to be patched
     // with the same care.
-    let old_tree = &serving.mapped.tree;
+    let old_tree = &basis.mapped.tree;
     let t0 = Instant::now();
-    let (repaired, shift) = if Arc::ptr_eq(old_tree.frozen(), cached.frozen.graph()) {
-        let repaired = repair_frozen(
-            old_tree,
-            new_frozen.graph(),
-            &dirty,
-            &base_shift,
-            &map_opts,
-            DELTA_MAX_DIRTY_FRACTION,
-        )
-        .unwrap_or(None);
-        (repaired, base_shift)
+    let (graph, shift) = if Arc::ptr_eq(old_tree.frozen(), cached.frozen.graph()) {
+        (new_frozen.graph().clone(), base_shift)
     } else {
         match patch_augmented(old_tree.frozen(), cached.frozen.graph(), &patches) {
-            Some((aug, aug_shift)) => {
-                let repaired = repair_frozen(
-                    old_tree,
-                    &aug,
-                    &dirty,
-                    &aug_shift,
-                    &map_opts,
-                    DELTA_MAX_DIRTY_FRACTION,
-                )
-                .unwrap_or(None);
-                (repaired, aug_shift)
-            }
+            Some(patched) => patched,
             None => return Ok(None),
         }
     };
+    let repaired = repair_frozen(
+        old_tree,
+        &graph,
+        &dirty,
+        &shift,
+        &map_opts,
+        DELTA_MAX_DIRTY_FRACTION,
+    );
     timings.map = t0.elapsed();
-    let Some(new_tree) = repaired else {
+    let Ok(Some(new_tree)) = repaired else {
         return Ok(None);
     };
 
@@ -684,83 +636,56 @@ fn try_delta_reload(
             changed.push(id);
         }
     }
-    if changed.is_empty() {
+    let (printed, db) = if changed.is_empty() {
         // The edit moved no label — a cost change on a link the tree
         // does not use, the common retuning case. Routes, rendered
         // output and the resolver are bit-for-bit yesterday's; only
         // the point-to-point engine is rebuilt, because `PATH`
         // answers read edge costs the tree never looked at.
         timings.print = t0.elapsed();
-        let db = serving.db.clone();
-        let printed = serving.printed.clone();
-        let engine = Arc::new(PointToPoint::new(
-            new_tree.frozen().clone(),
-            options.cost_model,
-        ));
-        let mapped = Mapped {
-            tree: new_tree,
-            dual: None,
-            map_time: timings.map,
+        (basis.printed.clone(), Some(serving.db.clone()))
+    } else {
+        let Some(routes) = update_routes(&new_tree, &basis.printed.routes, &changed) else {
+            return Ok(None);
         };
-        cached.fingerprint = fp;
-        cached.frozen = new_frozen;
-        cached.parsed = Some(new_parsed);
-        cached.serving = Some(ServingState {
-            options: options.clone(),
-            mapped,
-            printed,
-            db: db.clone(),
-            engine: engine.clone(),
-        });
-        drop(slot);
-        cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
-        return Ok(Some((Box::new(db), Some(engine), timings)));
-    }
-    let Some(routes) = update_routes(&new_tree, &serving.printed.routes, &changed) else {
-        return Ok(None);
+        let rendered = render(
+            &routes,
+            &PrintOptions {
+                with_costs: options.with_costs,
+                sort: options.sort,
+                include_hidden: options.include_hidden,
+            },
+        );
+        // The repair proved the labelled set unchanged, so the hosts
+        // that stayed unreachable are exactly the previous run's.
+        let unreachable = basis.printed.unreachable.clone();
+        timings.print = t0.elapsed();
+        let printed = Printed {
+            routes,
+            rendered,
+            unreachable,
+            print_time: timings.print,
+        };
+        (Arc::new(printed), None)
     };
-    let rendered = render(
-        &routes,
-        &PrintOptions {
-            with_costs: options.with_costs,
-            sort: options.sort,
-            include_hidden: options.include_hidden,
-        },
-    );
-    // The repair proved the labelled set unchanged, so the hosts that
-    // stayed unreachable are exactly the previous run's.
-    let unreachable = serving.printed.unreachable.clone();
-    timings.print = t0.elapsed();
 
     let mapped = Mapped {
         tree: new_tree,
         dual: None,
         map_time: timings.map,
     };
-    let printed = Arc::new(Printed {
-        routes,
-        rendered,
-        unreachable,
-        print_time: timings.print,
-    });
-    let db = SharedRouteDb::new(RouteDb::from_table(&printed.routes));
-    let engine = Arc::new(PointToPoint::new(
-        mapped.tree.frozen().clone(),
-        options.cost_model,
-    ));
-    cached.fingerprint = fp;
-    cached.frozen = new_frozen;
-    cached.parsed = Some(new_parsed);
-    cached.serving = Some(ServingState {
-        options: options.clone(),
-        mapped,
-        printed,
-        db: db.clone(),
-        engine: engine.clone(),
-    });
-    drop(slot);
-    cache.delta_reloads.fetch_add(1, Ordering::Relaxed);
-    Ok(Some((Box::new(db), Some(engine), timings)))
+    let serving = ServingState::new(&new_frozen, options, &mapped, &printed, db);
+    let next = CachedStages {
+        fingerprint: fp.clone(),
+        frozen: new_frozen,
+        serving,
+        basis: Some(DeltaBasis {
+            parsed: new_parsed,
+            mapped: Arc::new(mapped),
+            printed,
+        }),
+    };
+    Ok(Some((next, timings)))
 }
 
 /// Re-reads only the files whose stamp moved, cloning the cached text
@@ -848,105 +773,11 @@ fn patch_augmented(
     Some((Arc::new(patched), shift))
 }
 
-/// The parse/build/freeze stages for a map-file source, reusing the
-/// cached snapshot when the files' fingerprint is unchanged (the
-/// "reload with only mapping options changed" fast path). The
-/// returned timings cover the stages that actually ran — all zero on
-/// a cache hit.
-fn frozen_stage(
-    files: &[PathBuf],
-    options: &Options,
-    cache: &StageCache,
-) -> Result<(Frozen, PhaseTimings), LoadError> {
-    let fp = fingerprint(files)?;
-    let mut slot = cache.slot.lock().expect("stage cache poisoned");
-    if let Some(cached) = slot.as_ref() {
-        // `ignore_case` is the one option the build stage depends on.
-        if cached.fingerprint == fp && cached.ignore_case == options.ignore_case {
-            return Ok((cached.frozen.clone(), PhaseTimings::default()));
-        }
-    }
-    let mut timings = PhaseTimings::default();
-    let t0 = Instant::now();
-    let mut parsed = Parsed::new();
-    parsed.push_files(files)?;
-    timings.parse = t0.elapsed();
-    let built = parsed.build(options).map_err(LoadError::Pipeline)?;
-    timings.build = built.build_time;
-    let frozen = built.freeze();
-    timings.freeze = frozen.freeze_time;
-    *slot = Some(CachedStages {
-        fingerprint: fp,
-        ignore_case: options.ignore_case,
-        frozen: frozen.clone(),
-        parsed: Some(parsed),
-        serving: None,
-    });
-    Ok((frozen, timings))
-}
-
-/// The frozen stage for a snapshot source: re-read the `.pagf` file
-/// only when its fingerprint changed, so a `RELOAD` with an unchanged
-/// snapshot re-enters at the map stage just like the map-file path.
-/// A fresh read reports its load time as the `freeze` phase; a cache
-/// hit reports zero.
-fn snapshot_stage(path: &PathBuf, cache: &StageCache) -> Result<(Frozen, PhaseTimings), LoadError> {
-    let fp = fingerprint(std::iter::once(path))?;
-    let mut slot = cache.slot.lock().expect("stage cache poisoned");
-    if let Some(cached) = slot.as_ref() {
-        // `ignore_case` is baked into the snapshot file, so the
-        // fingerprint alone decides reuse.
-        if cached.fingerprint == fp {
-            return Ok((cached.frozen.clone(), PhaseTimings::default()));
-        }
-    }
-    let frozen = Frozen::from_snapshot(path)?;
-    let timings = PhaseTimings {
-        freeze: frozen.freeze_time,
-        ..PhaseTimings::default()
-    };
-    *slot = Some(CachedStages {
-        fingerprint: fp,
-        ignore_case: frozen.graph().ignore_case(),
-        frozen: frozen.clone(),
-        parsed: None,
-        serving: None,
-    });
-    Ok((frozen, timings))
-}
-
-/// The rebuilt graph must be mappable from more vantage points than
-/// just the local host: fan the read-only mapper out over a sample of
-/// sources — all sharing the one frozen snapshot — and refuse the swap
-/// if any of them fails outright.
-fn validate(frozen: &Arc<FrozenGraph>, sources: usize, threads: usize) -> Result<(), LoadError> {
-    // Only plain, live hosts make sense as mapping sources: `delete`d
-    // nodes are defined to fail, and nets/domains are not places mail
-    // originates.
-    let sample: Vec<_> = frozen
-        .node_ids()
-        .filter(|&id| frozen.is_mappable(id) && !frozen.is_net(id))
-        .take(sources)
-        .collect();
-    if sample.is_empty() {
-        return Err(LoadError::Validation("rebuilt map has no hosts".into()));
-    }
-    let results = parallel::map_many_frozen(frozen, &sample, &MapOptions::default(), threads);
-    for (id, result) in sample.iter().zip(&results) {
-        if let Err(e) = result {
-            return Err(LoadError::Validation(format!(
-                "mapping from sample source {} failed: {e}",
-                frozen.name(*id),
-            )));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pathalias_mailer::disk::write_db;
+    use pathalias_mailer::Resolver;
 
     fn temp(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -956,6 +787,34 @@ mod tests {
 
     const MAP: &str = "unc\tduke(100), phs(400)\nduke\tunc(100), research(200)\n\
                        phs\tunc(400)\nresearch\tduke(200)\n";
+
+    /// Loads `source` and returns the resolver it serves.
+    fn resolver(source: &MapSource) -> BoxedResolver {
+        source.load_serving_timed().unwrap().0
+    }
+
+    /// The route `resolver` gives to `host` for user `u`.
+    fn route(resolver: &BoxedResolver, host: &str) -> String {
+        resolver.resolve(host, "u").unwrap().route
+    }
+
+    /// The stage cache of a pipeline source.
+    fn cache_of(source: &MapSource) -> &StageCache {
+        match source {
+            MapSource::FrozenSnapshot { cache, .. } | MapSource::Map { cache, .. } => cache,
+            _ => unreachable!("only pipeline sources cache stages"),
+        }
+    }
+
+    /// Freezes `map` (built under `options`) to a `.pagf` at `path`,
+    /// as `pathalias freeze` would.
+    fn freeze_to(map: &str, options: &Options, path: &PathBuf) -> Frozen {
+        let mut parsed = Parsed::new();
+        parsed.push_str("map", map);
+        let frozen = parsed.build(options).unwrap().freeze();
+        frozen.write_snapshot(path).unwrap();
+        frozen
+    }
 
     #[test]
     fn loads_all_three_source_shapes() {
@@ -967,27 +826,20 @@ mod tests {
             ..Default::default()
         };
         let source = MapSource::map_files(vec![map_path.clone()], options);
-        let db = source.load().unwrap();
-        assert_eq!(db.route_to("research", "u").unwrap(), "duke!research!u");
+        assert_eq!(route(&resolver(&source), "research"), "duke!research!u");
 
         // Linear route file (the rendered output of the same map).
         let routes_path = temp("map.routes");
-        let rendered: String = {
-            let mut out = String::new();
-            for e in db.iter() {
-                out.push_str(&format!("{}\t{}\n", e.name, e.route));
-            }
-            out
-        };
+        let rendered = cached_rendered(cache_of(&source));
         std::fs::write(&routes_path, &rendered).unwrap();
-        let db2 = MapSource::Routes(routes_path.clone()).load().unwrap();
-        assert_eq!(db2.route_to("research", "u").unwrap(), "duke!research!u");
+        let routes = resolver(&MapSource::Routes(routes_path.clone()));
+        assert_eq!(route(&routes, "research"), "duke!research!u");
 
         // PADB1.
         let padb_path = temp("map.padb");
-        write_db(&db, &padb_path).unwrap();
-        let db3 = MapSource::Padb(padb_path.clone()).load().unwrap();
-        assert_eq!(db3.route_to("research", "u").unwrap(), "duke!research!u");
+        write_db(&RouteDb::from_output(&rendered).unwrap(), &padb_path).unwrap();
+        let padb = resolver(&MapSource::Padb(padb_path.clone()));
+        assert_eq!(route(&padb, "research"), "duke!research!u");
 
         for p in [map_path, routes_path, padb_path] {
             std::fs::remove_file(p).unwrap();
@@ -1003,28 +855,26 @@ mod tests {
             ..Default::default()
         };
         let source = MapSource::map_files(vec![path.clone()], options);
-        let MapSource::Map { cache, .. } = &source else {
-            unreachable!()
-        };
+        let cache = cache_of(&source);
         assert!(cache.snapshot().is_none(), "cache starts cold");
 
-        let db1 = source.load().unwrap();
+        let r1 = resolver(&source);
         let snap1 = cache.snapshot().expect("cache warm after first load");
-        let db2 = source.load().unwrap();
+        let r2 = resolver(&source);
         let snap2 = cache.snapshot().unwrap();
         assert!(
             Arc::ptr_eq(&snap1, &snap2),
             "second load skipped parse/build/freeze"
         );
-        assert_eq!(db1.len(), db2.len());
+        assert_eq!(r1.entries(), r2.entries());
 
         // Touching the file (newer mtime) invalidates the stages.
         std::thread::sleep(std::time::Duration::from_millis(20));
         std::fs::write(&path, format!("{MAP}extra\tunc(50)\n")).unwrap();
-        let db3 = source.load().unwrap();
+        let r3 = resolver(&source);
         let snap3 = cache.snapshot().unwrap();
         assert!(!Arc::ptr_eq(&snap1, &snap3), "changed file re-parses");
-        assert!(db3.get("extra").is_some());
+        assert!(r3.resolve("extra", "u").is_ok());
         std::fs::remove_file(path).unwrap();
     }
 
@@ -1037,22 +887,20 @@ mod tests {
             ..Default::default()
         };
         let source = MapSource::map_files(vec![path.clone()], options);
-        let db_unc = source.load().unwrap();
-        assert_eq!(db_unc.route_to("research", "u").unwrap(), "duke!research!u");
+        assert_eq!(route(&resolver(&source), "research"), "duke!research!u");
 
         // Same files, different local host: the frozen stage is
         // reused, only map/print re-run.
-        let MapSource::Map { cache, .. } = &source else {
-            unreachable!()
-        };
+        let cache = cache_of(&source);
         let snap_before = cache.snapshot().unwrap();
         let mut source2 = source.clone();
         let MapSource::Map { options, .. } = &mut source2 else {
             unreachable!()
         };
         options.local = Some("phs".into());
-        let db_phs = source2.load().unwrap();
-        assert_eq!(db_phs.route_to("phs", "u").unwrap(), "u");
+        let (phs, _, timings) = source2.load_serving_timed().unwrap();
+        assert_eq!(route(&phs, "phs"), "u");
+        assert_eq!(timings.parse, std::time::Duration::ZERO, "no re-parse");
         let snap_after = cache.snapshot().unwrap();
         assert!(
             Arc::ptr_eq(&snap_before, &snap_after),
@@ -1063,23 +911,22 @@ mod tests {
 
     #[test]
     fn mmap_resolver_serves_without_full_load() {
-        use pathalias_mailer::Resolver;
         let db = RouteDb::from_output("seismo\tseismo!%s\n.edu\tseismo!%s\n").unwrap();
         let padb_path = temp("mmap.padb");
         write_db(&db, &padb_path).unwrap();
-        let resolver = MapSource::PadbMmap(padb_path.clone())
-            .load_resolver()
+        let (mapped, engine, _) = MapSource::PadbMmap(padb_path.clone())
+            .load_serving_timed()
             .unwrap();
-        assert_eq!(resolver.entries(), 2);
+        assert!(engine.is_none(), "table-only sources have no engine");
+        assert_eq!(mapped.entries(), 2);
         assert_eq!(
-            resolver
+            mapped
                 .resolve("caip.rutgers.edu", "pleasant")
                 .unwrap()
                 .route,
             "seismo!caip.rutgers.edu!pleasant"
         );
-        // Every source shape loads through load_resolver too.
-        let in_memory = MapSource::Padb(padb_path.clone()).load_resolver().unwrap();
+        let in_memory = resolver(&MapSource::Padb(padb_path.clone()));
         assert_eq!(in_memory.entries(), 2);
         assert_eq!(
             in_memory.resolve("seismo", "rick").unwrap().route,
@@ -1096,27 +943,20 @@ mod tests {
             local: Some("unc".into()),
             ..Default::default()
         };
-
-        // Freeze the world to a .pagf, as `pathalias freeze` would.
-        let mut parsed = Parsed::new();
-        parsed.push_file(&map_path).unwrap();
-        let frozen = parsed.build(&options).unwrap().freeze();
         let pagf_path = temp("snap-src.pagf");
-        frozen.write_snapshot(&pagf_path).unwrap();
+        freeze_to(MAP, &options, &pagf_path);
 
-        let from_map = MapSource::map_files(vec![map_path.clone()], options.clone())
-            .load()
-            .unwrap();
-        let from_snapshot = MapSource::frozen_snapshot(pagf_path.clone(), options)
-            .load()
-            .unwrap();
-        assert_eq!(from_map.len(), from_snapshot.len());
-        for e in from_map.iter() {
+        let from_map = MapSource::map_files(vec![map_path.clone()], options.clone());
+        let from_snapshot = MapSource::frozen_snapshot(pagf_path.clone(), options);
+        let (map_db, _, _) = from_map.load_serving_timed().unwrap();
+        let (snap_db, _, _) = from_snapshot.load_serving_timed().unwrap();
+        assert_eq!(map_db.entries(), snap_db.entries());
+        for line in cached_rendered(cache_of(&from_map)).lines() {
+            let name = line.split('\t').next().unwrap();
             assert_eq!(
-                from_snapshot.get(&e.name).map(|s| s.route.clone()),
-                Some(e.route.clone()),
-                "route to {} differs",
-                e.name
+                route(&snap_db, name),
+                route(&map_db, name),
+                "route to {name} differs"
             );
         }
 
@@ -1126,26 +966,19 @@ mod tests {
 
     #[test]
     fn unchanged_snapshot_reuses_the_frozen_stage() {
-        let map_path = temp("snap-reuse.map");
-        std::fs::write(&map_path, MAP).unwrap();
         let options = Options {
             local: Some("unc".into()),
             ..Default::default()
         };
-        let mut parsed = Parsed::new();
-        parsed.push_file(&map_path).unwrap();
-        let frozen = parsed.build(&options).unwrap().freeze();
         let pagf_path = temp("snap-reuse.pagf");
-        frozen.write_snapshot(&pagf_path).unwrap();
+        let frozen = freeze_to(MAP, &options, &pagf_path);
 
         let source = MapSource::frozen_snapshot(pagf_path.clone(), options);
-        let MapSource::FrozenSnapshot { cache, .. } = &source else {
-            unreachable!()
-        };
+        let cache = cache_of(&source);
         assert!(cache.snapshot().is_none(), "cache starts cold");
-        source.load().unwrap();
+        source.load_serving_timed().unwrap();
         let snap1 = cache.snapshot().expect("cache warm after first load");
-        source.load().unwrap();
+        source.load_serving_timed().unwrap();
         let snap2 = cache.snapshot().unwrap();
         assert!(
             Arc::ptr_eq(&snap1, &snap2),
@@ -1155,11 +988,86 @@ mod tests {
         // Rewriting the snapshot (newer mtime) invalidates the cache.
         std::thread::sleep(std::time::Duration::from_millis(20));
         frozen.write_snapshot(&pagf_path).unwrap();
-        source.load().unwrap();
+        source.load_serving_timed().unwrap();
         let snap3 = cache.snapshot().unwrap();
         assert!(!Arc::ptr_eq(&snap1, &snap3), "changed file re-loads");
 
-        std::fs::remove_file(map_path).unwrap();
+        std::fs::remove_file(pagf_path).unwrap();
+    }
+
+    /// A world whose mapping from `unc` invents a back link: `leaf`
+    /// declares a link to `duke`, but nothing links to `leaf`.
+    const BACKLINK_MAP: &str = "unc\tduke(100), phs(400)\nduke\tunc(100), phs(200)\n\
+                                phs\tunc(400), duke(200)\nleaf\tduke(50)\n";
+
+    #[test]
+    fn unchanged_ch_snapshot_reload_keeps_the_engine() {
+        let options = Options {
+            local: Some("unc".into()),
+            ..Default::default()
+        };
+        // `freeze --ch`: the snapshot carries a hierarchy over the
+        // graph as frozen, which mapping then augments with back links.
+        let write_ch = |map: &str, path: &PathBuf| {
+            let mut parsed = Parsed::new();
+            parsed.push_str("map", map);
+            let frozen = parsed.build(&options).unwrap().freeze();
+            let weights = pathalias_router::ch_weights(frozen.graph(), &options.cost_model);
+            let ch = Arc::new(pathalias_core::ChIndex::build(frozen.graph(), &weights));
+            frozen.with_hierarchy(ch).write_snapshot_all(path).unwrap();
+        };
+        let pagf_path = temp("ch-noop.pagf");
+        write_ch(BACKLINK_MAP, &pagf_path);
+
+        let source = MapSource::frozen_snapshot(pagf_path.clone(), options.clone());
+        let (_, engine1, _) = source.load_serving_timed().unwrap();
+        let engine1 = engine1.unwrap();
+        assert!(
+            !Arc::ptr_eq(engine1.graph(), &cache_of(&source).snapshot().unwrap()),
+            "mapping invented a back link, so the engine runs on an augmented graph"
+        );
+        assert!(engine1.hierarchy().is_some(), "the hierarchy was rebuilt");
+        assert_eq!(engine1.route("unc", "leaf").unwrap().route, "duke!leaf!%s");
+
+        // Untouched file: no stage runs, the very same engine serves.
+        let (_, engine2, t) = source.load_serving_timed().unwrap();
+        assert!(Arc::ptr_eq(&engine1, &engine2.unwrap()));
+        assert!(
+            [t.parse, t.build, t.freeze, t.map, t.print]
+                .iter()
+                .all(|d| d.is_zero()),
+            "a no-op reload runs no phase: {t:?}"
+        );
+
+        // Rewritten with a cheaper phs link: a fresh engine whose PATH
+        // answers match a cold source over the same file.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        write_ch(
+            &BACKLINK_MAP.replace("unc(400), duke(200)", "unc(40), duke(200)"),
+            &pagf_path,
+        );
+        let (_, engine3, _) = source.load_serving_timed().unwrap();
+        let engine3 = engine3.unwrap();
+        assert!(
+            !Arc::ptr_eq(&engine1, &engine3),
+            "a rewrite rebuilds the engine"
+        );
+        let cold = MapSource::frozen_snapshot(pagf_path.clone(), options);
+        let (_, cold_engine, _) = cold.load_serving_timed().unwrap();
+        let cold_engine = cold_engine.unwrap();
+        for (s, d) in [
+            ("unc", "leaf"),
+            ("phs", "unc"),
+            ("leaf", "phs"),
+            ("duke", "leaf"),
+        ] {
+            let (a, b) = (
+                engine3.route(s, d).unwrap(),
+                cold_engine.route(s, d).unwrap(),
+            );
+            assert_eq!((a.route, a.cost), (b.route, b.cost), "PATH {s} {d} differs");
+        }
+        assert_eq!(engine3.route("phs", "unc").unwrap().route, "unc!%s");
         std::fs::remove_file(pagf_path).unwrap();
     }
 
@@ -1168,23 +1076,29 @@ mod tests {
         let bad = temp("bad.pagf");
         std::fs::write(&bad, "PAGF1\nnot really").unwrap();
         assert!(matches!(
-            MapSource::frozen_snapshot(bad.clone(), Options::default()).load(),
+            MapSource::frozen_snapshot(bad.clone(), Options::default()).load_serving_timed(),
             Err(LoadError::Snapshot(_))
         ));
         let missing = MapSource::frozen_snapshot(temp("missing.pagf"), Options::default());
-        assert!(matches!(missing.load(), Err(LoadError::Io(_))));
+        assert!(matches!(
+            missing.load_serving_timed(),
+            Err(LoadError::Io(_))
+        ));
         std::fs::remove_file(bad).unwrap();
     }
 
     #[test]
     fn load_failure_reports_not_panics() {
         let missing = MapSource::Routes(temp("definitely-missing"));
-        assert!(matches!(missing.load(), Err(LoadError::Io(_))));
+        assert!(matches!(
+            missing.load_serving_timed(),
+            Err(LoadError::Io(_))
+        ));
 
         let bad = temp("bad.routes");
         std::fs::write(&bad, "one-field-only\n").unwrap();
         assert!(matches!(
-            MapSource::Routes(bad.clone()).load(),
+            MapSource::Routes(bad.clone()).load_serving_timed(),
             Err(LoadError::Db(_))
         ));
         std::fs::remove_file(bad).unwrap();
@@ -1193,8 +1107,8 @@ mod tests {
     #[test]
     fn validation_skips_deleted_and_network_nodes() {
         // `delete`d hosts and network pseudo-nodes sit in the node
-        // pool but must not be picked as validation sources — this map
-        // is perfectly valid and has to load.
+        // pool but are not hosts mail originates at — this map still
+        // has one and has to load.
         let path = temp("deleted.map");
         std::fs::write(
             &path,
@@ -1206,10 +1120,8 @@ mod tests {
             local: Some("hub".into()),
             ..Default::default()
         };
-        let db = MapSource::map_files(vec![path.clone()], options)
-            .load()
-            .expect("maps with delete statements are valid");
-        assert_eq!(db.route_to("leaf", "u").unwrap(), "leaf!u");
+        let source = MapSource::map_files(vec![path.clone()], options);
+        assert_eq!(route(&resolver(&source), "leaf"), "leaf!u");
         std::fs::remove_file(path).unwrap();
     }
 
@@ -1218,8 +1130,36 @@ mod tests {
         let path = temp("empty.map");
         std::fs::write(&path, "# nothing but a comment\n").unwrap();
         let source = MapSource::map_files(vec![path.clone()], Options::default());
-        assert!(source.load().is_err());
+        assert!(source.load_serving_timed().is_err());
         std::fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_world_without_hosts_is_refused() {
+        // `-l` names a network whose every member is deleted: mapping
+        // succeeds, but nothing is left that mail could come from.
+        const NO_HOSTS: &str = "NET = {a, b}(10)\ndelete {a, b}\n";
+        let options = Options {
+            local: Some("NET".into()),
+            ..Default::default()
+        };
+        let map_path = temp("no-hosts.map");
+        std::fs::write(&map_path, NO_HOSTS).unwrap();
+        let pagf_path = temp("no-hosts.pagf");
+        freeze_to(NO_HOSTS, &options, &pagf_path);
+        for source in [
+            MapSource::map_files(vec![map_path.clone()], options.clone()),
+            MapSource::frozen_snapshot(pagf_path.clone(), options.clone()),
+        ] {
+            match source.load_serving_timed() {
+                Err(LoadError::Validation(why)) => assert_eq!(why, "rebuilt map has no hosts"),
+                Err(e) => panic!("{}: refused for the wrong reason: {e}", source.kind()),
+                Ok(_) => panic!("{}: a world without hosts was served", source.kind()),
+            }
+            assert!(cache_of(&source).snapshot().is_none(), "nothing committed");
+        }
+        std::fs::remove_file(map_path).unwrap();
+        std::fs::remove_file(pagf_path).unwrap();
     }
 
     #[test]
@@ -1265,8 +1205,8 @@ mod tests {
     fn cached_rendered(cache: &StageCache) -> String {
         let slot = cache.slot.lock().unwrap();
         slot.as_ref()
-            .and_then(|c| c.serving.as_ref())
-            .map(|s| s.printed.rendered.clone())
+            .and_then(|c| c.basis.as_ref())
+            .map(|b| b.printed.rendered.clone())
             .expect("serving state cached")
     }
 

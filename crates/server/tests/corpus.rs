@@ -7,7 +7,7 @@
 
 use pathalias_core::{Options, Parsed};
 use pathalias_mailer::disk::write_db;
-use pathalias_mailer::{ResolveError, Resolver};
+use pathalias_mailer::{ResolveError, Resolver, RouteDb};
 use pathalias_server::{Client, MapSource, Server, ServerConfig};
 use std::path::{Path, PathBuf};
 
@@ -26,6 +26,21 @@ fn options() -> Options {
         local: Some("home".to_string()),
         ..Options::default()
     }
+}
+
+/// The in-memory table the full pipeline prints for one corpus map.
+fn pipeline_db(map_path: &Path) -> RouteDb {
+    let mut parsed = Parsed::new();
+    parsed.push_file(map_path).unwrap();
+    let options = options();
+    let printed = parsed
+        .build(&options)
+        .unwrap()
+        .freeze()
+        .map(&options)
+        .unwrap()
+        .print(&options);
+    RouteDb::from_table(&printed.routes)
 }
 
 fn temp(tag: &str) -> PathBuf {
@@ -87,9 +102,10 @@ fn every_backend_answers_the_corpus_byte_identically() {
         let golden = std::fs::read_to_string(corpus_file(name, "routes")).unwrap();
 
         // Ground truth: the in-memory table from the full pipeline.
-        let pipeline_source = MapSource::map_files(vec![map_path.clone()], options());
-        let db = pipeline_source.load().unwrap();
-        let reference = pipeline_source.load_resolver().unwrap();
+        let db = pipeline_db(&map_path);
+        let (reference, _, _) = MapSource::map_files(vec![map_path.clone()], options())
+            .load_serving_timed()
+            .unwrap();
 
         // The same world in every other backend shape.
         let routes_path = temp(&format!("{name}.routes"));
@@ -116,7 +132,7 @@ fn every_backend_answers_the_corpus_byte_identically() {
             ),
         ];
         for (kind, source) in backends {
-            let resolver = source.load_resolver().unwrap();
+            let (resolver, _, _) = source.load_serving_timed().unwrap();
             assert_eq!(
                 resolver.entries(),
                 reference.entries(),
@@ -249,11 +265,8 @@ fn multi_map_daemon_answers_the_corpus_like_single_map_daemons() {
                     MapSource::Routes(p)
                 }
                 2 | 3 => {
-                    let db = MapSource::map_files(vec![map_path], options())
-                        .load()
-                        .unwrap();
                     let p = temp(&format!("mm-{name}.padb"));
-                    write_db(&db, &p).unwrap();
+                    write_db(&pipeline_db(&map_path), &p).unwrap();
                     scratch.push(p.clone());
                     if i % 5 == 2 {
                         MapSource::Padb(p)

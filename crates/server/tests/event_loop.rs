@@ -36,7 +36,9 @@ fn single_worker(tag: &str, udp: bool) -> (ServerHandle, PathBuf) {
 fn dribbled_bytes_frame_correctly() {
     // A client that writes one byte at a time must still get complete,
     // correctly framed responses: the nonblocking read path has to
-    // buffer partial lines across many readiness events.
+    // buffer partial lines across many readiness events. Every
+    // multibyte UTF-8 character straddles two reads, and must still
+    // decode intact; a blank line between requests gets no reply.
     let (handle, path) = single_worker("dribble.routes", false);
     let addr = handle.tcp_addr().unwrap();
 
@@ -44,7 +46,8 @@ fn dribbled_bytes_frame_correctly() {
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    let script = "PROTO 2\nQUERY seismo rick\nMQUERY x.mit.edu:minsky nowhere\n";
+    let script = "PROTO 2\nQUERY seismo rick\n\nMQUERY x.mit.edu:minsky nowhere\n\
+                  QUERY zürich.üñî.example häns\n";
     for byte in script.as_bytes() {
         stream.write_all(std::slice::from_ref(byte)).unwrap();
         stream.flush().unwrap();
@@ -62,6 +65,9 @@ fn dribbled_bytes_frame_correctly() {
     assert_eq!(next(&mut reader, &mut line), "200 seismo!rick");
     assert_eq!(next(&mut reader, &mut line), "200 seismo!x.mit.edu!minsky");
     assert_eq!(next(&mut reader, &mut line), "404 no route to nowhere");
+    let echoed = next(&mut reader, &mut line);
+    assert_eq!(echoed, "404 no route to zürich.üñî.example");
+    assert!(!echoed.contains('\u{FFFD}'), "no replacement characters");
 
     // A final request with no trailing newline, then EOF: the daemon
     // must still serve that last line (legacy parity) and close.

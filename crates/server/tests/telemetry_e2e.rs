@@ -1,8 +1,9 @@
 //! Telemetry end to end over real sockets: the `METRICS` and
 //! `SLOWLOG` verbs through [`Client`], cross-signal consistency
 //! between the `STATS` counters and the latency histograms, the
-//! v1-only refusal path, and the "errors-only logging means a silent
-//! steady state" guarantee.
+//! v1-only refusal path, the "errors-only logging means a silent
+//! steady state" guarantee, and the load duration the startup log
+//! reports.
 
 use pathalias_server::{
     Client, ClientError, Level, Logger, MapSource, Server, ServerConfig, ServerHandle,
@@ -188,6 +189,29 @@ fn errors_only_logging_keeps_a_healthy_daemon_silent() {
         "{out}"
     );
 
+    handle.shutdown();
+    std::fs::remove_file(east).unwrap();
+}
+
+#[test]
+fn map_loaded_reports_how_long_the_load_took() {
+    let east = temp("loaded.routes");
+    std::fs::write(&east, "a\ta!%s\nb\tb!%s\n").unwrap();
+    let (logger, buf) = Logger::capture(Level::Info);
+    let mut config = ServerConfig::ephemeral(MapSource::Routes(east.clone()));
+    config.logger = logger;
+    let handle = Server::start(config).unwrap();
+    let out = buf.lock().unwrap().clone();
+    let line = out
+        .lines()
+        .find(|l| l.contains("event=map_loaded"))
+        .unwrap_or_else(|| panic!("no map_loaded event: {out}"));
+    assert!(
+        line.contains("map=default source=routes entries=2 duration_ms="),
+        "{line}"
+    );
+    let ms = line.rsplit("duration_ms=").next().unwrap();
+    assert!(ms.parse::<u64>().is_ok(), "duration_ms is whole ms: {line}");
     handle.shutdown();
     std::fs::remove_file(east).unwrap();
 }
