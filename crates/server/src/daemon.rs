@@ -1985,4 +1985,38 @@ mod tests {
             "{slow:?}"
         );
     }
+
+    #[cfg(unix)]
+    #[test]
+    fn multibyte_utf8_survives_buffer_refills() {
+        // Dribbled one byte per write, every UTF-8 character straddles
+        // two socket reads; the event loop must frame raw bytes and
+        // decode each line once, so the query arrives intact.
+        use std::io::{BufRead, BufReader, Write};
+        let host = "zürich.üñî.example";
+        let path = temp_routes("utf8", &format!("{host}\t{host}!%s\n"));
+        let mut config = ServerConfig::ephemeral(MapSource::Routes(path.clone()));
+        config.workers = Some(1);
+        let handle = Server::start(config).expect("server starts");
+        let mut stream = std::net::TcpStream::connect(handle.tcp_addr().unwrap()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream.set_nodelay(true).unwrap();
+        let text = format!("QUERY {host} häns\n");
+        for byte in text.as_bytes() {
+            stream.write_all(std::slice::from_ref(byte)).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let mut line = String::new();
+        BufReader::new(&stream).read_line(&mut line).unwrap();
+        assert_eq!(line.trim_end(), format!("200 {host}!häns"));
+        assert!(
+            !line.contains('\u{FFFD}'),
+            "no replacement characters: {line}"
+        );
+        drop(stream);
+        handle.shutdown();
+        std::fs::remove_file(path).unwrap();
+    }
 }
