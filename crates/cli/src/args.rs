@@ -32,9 +32,10 @@ options:
 freeze (write a PAGF1 frozen-graph snapshot):
   -o F      output snapshot file (required)
   -i        ignore case in host names (baked into the snapshot)
-  --ch      also build and store the contraction-hierarchy section, so
-            a daemon serving the snapshot gets the PATH fast tier with
-            no startup work
+  --ch      also build and store the contraction-hierarchy section for
+            the PATH fast tier; a daemon uses it only while it serves
+            the frozen graph itself, and rebuilds it at load when
+            mapping invents back links
   file ...  map files (standard input when omitted)
 
 serve (daemon mode; default listen 127.0.0.1:4175):

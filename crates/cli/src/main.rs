@@ -21,6 +21,7 @@ use pathalias_mapgen::{generate, MapSpec};
 use pathalias_server::{Client, Logger, MapSource, Server, ServerConfig, UdpClient};
 use std::io::{Read, Write};
 use std::process::ExitCode;
+use std::time::Instant;
 
 mod args;
 
@@ -191,12 +192,20 @@ fn cmd_freeze(fz: FreezeArgs) -> ExitCode {
     // The snapshot carries the reverse index too, so a daemon serving
     // it answers `PATH * dst` without an O(n+m) transpose on startup.
     // `--ch` additionally stores the contraction hierarchy over the
-    // default cost model's lower-bound weights, so the daemon's PATH
-    // fast tier needs no freeze-time work either.
+    // default cost model's lower-bound weights. A daemon uses it as is
+    // only when the graph it serves is this one; a mapping that
+    // invents back links serves a larger graph and rebuilds it.
+    let mut ch_summary = String::new();
     if fz.ch {
+        let t0 = Instant::now();
         let graph = frozen.graph().clone();
         let weights = pathalias_router::ch_weights(&graph, &pathalias_core::CostModel::default());
         let ch = pathalias_core::ChIndex::build(&graph, &weights);
+        ch_summary = format!(
+            ", ch {:?} with {} shortcuts",
+            t0.elapsed(),
+            ch.shortcut_count()
+        );
         frozen = frozen.with_hierarchy(std::sync::Arc::new(ch));
     }
     if let Err(e) = frozen.write_snapshot_all(&fz.out) {
@@ -206,7 +215,7 @@ fn cmd_freeze(fz: FreezeArgs) -> ExitCode {
     let bytes = std::fs::metadata(&fz.out).map(|m| m.len()).unwrap_or(0);
     let g = frozen.graph();
     eprintln!(
-        "pathalias: froze {} nodes, {} edges into {} ({} bytes; parse {:?}, freeze {:?})",
+        "pathalias: froze {} nodes, {} edges into {} ({} bytes; parse {:?}, freeze {:?}{ch_summary})",
         g.node_count(),
         g.edge_count(),
         fz.out,

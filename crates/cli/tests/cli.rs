@@ -395,6 +395,29 @@ fn freeze_reports_errors() {
 }
 
 #[test]
+fn freeze_ch_reports_the_hierarchy_build() {
+    // The summary line names the hierarchy's build time and size, the
+    // part of a `--ch` freeze that takes the time; a plain freeze
+    // builds none and says nothing about one.
+    let dir = std::env::temp_dir();
+    let out_path = dir.join(format!("pa-cli-freeze-ch-{}.pagf", std::process::id()));
+    let map = "a\tb(10), c(10)\nb\tc(10), d(10)\nc\td(10)\nd\ta(10)\n";
+    let out = out_path.to_str().unwrap();
+    let (_, stderr, ok) = run_with_stdin(&["freeze", "--ch", "-o", out], map);
+    assert!(ok, "{stderr}");
+    let summary = stderr
+        .lines()
+        .find(|l| l.contains("froze"))
+        .expect("summary line");
+    assert!(summary.contains(", ch "), "{summary}");
+    assert!(summary.contains(" shortcuts)"), "{summary}");
+    let (_, stderr, ok) = run_with_stdin(&["freeze", "-o", out], map);
+    assert!(ok, "{stderr}");
+    assert!(!stderr.contains("shortcuts"), "{stderr}");
+    std::fs::remove_file(&out_path).unwrap();
+}
+
+#[test]
 fn serve_map_set_end_to_end() {
     // A daemon serving three namespaces through `--map-set`, driven
     // entirely through the CLI client: `--maps`, `--map-name`

@@ -85,6 +85,10 @@ pub struct PhaseTimings {
     pub map: Duration,
     /// Time spent computing and rendering routes.
     pub print: Duration,
+    /// Time a serving load spent building the point-to-point engine,
+    /// including any contraction-hierarchy rebuild. The batch
+    /// pipeline builds no engine and reports zero.
+    pub engine: Duration,
 }
 
 /// Everything a pipeline run produces.
@@ -243,6 +247,7 @@ impl Pathalias {
                 freeze: frozen.freeze_time,
                 map: mapped.map_time,
                 print: printed.print_time,
+                engine: Duration::ZERO,
             },
         })
     }

@@ -59,7 +59,10 @@ pub const CH_ORIGINAL: u32 = u32::MAX;
 /// final index *and* the total build time.
 const WITNESS_SETTLE_BUDGET: usize = 2048;
 /// Smaller settle budget for the priority simulation, which only needs
-/// an estimate of how many shortcuts a contraction would add.
+/// an estimate of how many shortcuts a contraction would add. Both
+/// budgets count settled nodes, which the live rows do not change:
+/// pruning dead and dearer parallel edges only cuts the entries a
+/// search reads on the way.
 const SIM_SETTLE_BUDGET: usize = 256;
 /// Above this many `in × out` pairs the simulation skips witness
 /// searches entirely and pessimistically assumes every pair needs a
@@ -132,11 +135,9 @@ impl ChIndex {
     /// Panics if `weights.len() != f.edge_count()`.
     pub fn build(f: &FrozenGraph, weights: &[Cost]) -> ChIndex {
         assert_eq!(weights.len(), f.edge_count(), "one weight per frozen edge");
-        let n = f.node_count();
-        let mut b = Builder::new(n);
-        b.seed(f, weights);
+        let mut b = Builder::new(f, weights);
         b.contract_all();
-        b.assemble(n)
+        b.assemble(weights)
     }
 
     /// Number of nodes the hierarchy covers.
@@ -383,63 +384,52 @@ impl ChIndex {
 
 /// One edge of the construction-time core graph. `a`/`b` follow the
 /// same convention as the final arrays, except that shortcut children
-/// are *temp* ids until [`Builder::assemble`] remaps them to refs.
+/// are *temp* ids until [`Builder::assemble`] remaps them to refs. The
+/// weight is not kept: assembly re-derives it from the frozen edge
+/// weight or, for a shortcut, the sum of its halves, which always
+/// have lower temp ids.
 struct Temp {
     from: u32,
     to: u32,
-    w: Cost,
     a: u32,
     b: u32,
 }
 
-struct Builder {
-    temps: Vec<Temp>,
-    /// Live adjacency (temp ids by tail / by head); entries pointing at
-    /// contracted endpoints are skipped lazily rather than removed.
-    out: Vec<Vec<u32>>,
-    inn: Vec<Vec<u32>>,
-    contracted: Vec<bool>,
-    rank: Vec<u32>,
-    /// Contracted-neighbors depth term of the priority heuristic.
-    depth: Vec<u32>,
-    // Witness-search scratch, generation-stamped so each search starts
-    // clean without clearing the arrays.
-    wit_dist: Vec<Cost>,
-    wit_stamp: Vec<u32>,
-    wit_gen: u32,
-    wit_heap: BinaryHeap<Reverse<(Cost, u32)>>,
-    // Multi-target marks for one witness search deciding many pairs.
-    tgt_limit: Vec<Cost>,
-    tgt_idx: Vec<u32>,
-    tgt_stamp: Vec<u32>,
-    wit_mark: Vec<bool>,
+/// One live core edge seen from one end: the node at the other end,
+/// and the cheapest temp edge between the two (ties to the lower temp
+/// id) with its weight inline, so the witness loop never leaves the
+/// row.
+#[derive(Clone, Copy)]
+struct Live {
+    node: u32,
+    temp: u32,
+    w: Cost,
 }
 
-impl Builder {
-    fn new(n: usize) -> Builder {
-        Builder {
-            temps: Vec::new(),
-            out: vec![Vec::new(); n],
-            inn: vec![Vec::new(); n],
-            contracted: vec![false; n],
-            rank: vec![0; n],
-            depth: vec![0; n],
-            wit_dist: vec![0; n],
-            wit_stamp: vec![0; n],
-            wit_gen: 0,
-            wit_heap: BinaryHeap::new(),
-            tgt_limit: vec![0; n],
-            tgt_idx: vec![0; n],
-            tgt_stamp: vec![0; n],
-            wit_mark: Vec::new(),
-        }
-    }
+/// The construction-time core graph: every temp edge ever made, which
+/// assembly turns into the two halves, and the live adjacency the
+/// contraction reads. A row holds one entry per uncontracted
+/// neighbour; contracting a node removes it from its neighbours' rows
+/// and frees its own.
+struct Core {
+    temps: Vec<Temp>,
+    /// Live out-neighbours by tail.
+    out: Vec<Vec<Live>>,
+    /// Live in-neighbour ids by head: `u` is in `inn[x]` exactly when
+    /// `out[u]` has an entry for `x`, which holds the edge itself.
+    inn: Vec<Vec<u32>>,
+    /// Contracted-neighbours depth term of the priority heuristic.
+    depth: Vec<u32>,
+}
 
+impl Core {
     /// Seeds the core graph: the cheapest forward edge per distinct
-    /// `(tail, head)` pair, self-loops dropped. The two-pass shape (pick
-    /// in a map, emit in row order) keeps temp ids deterministic.
-    fn seed(&mut self, f: &FrozenGraph, weights: &[Cost]) {
+    /// `(tail, head)` pair (ties to the lower edge id), self-loops
+    /// dropped, as temps in forward-row order. Rows are sized exactly
+    /// from the seed degrees.
+    fn seed(f: &FrozenGraph, weights: &[Cost]) -> Core {
         let n = f.node_count();
+        let mut temps = Vec::new();
         let mut best: HashMap<u32, usize> = HashMap::new();
         for u in 0..n {
             best.clear();
@@ -461,107 +451,187 @@ impl Builder {
             }
             for e in f.row(u) {
                 if best.get(&f.edges[e].to) == Some(&e) {
-                    let t = self.temps.len() as u32;
-                    self.temps.push(Temp {
+                    temps.push(Temp {
                         from: u as u32,
                         to: f.edges[e].to,
-                        w: weights[e],
                         a: e as u32,
                         b: CH_ORIGINAL,
                     });
-                    self.out[u].push(t);
-                    self.inn[f.edges[e].to as usize].push(t);
                 }
+            }
+        }
+        let mut out_deg = vec![0usize; n];
+        let mut in_deg = vec![0usize; n];
+        for t in &temps {
+            out_deg[t.from as usize] += 1;
+            in_deg[t.to as usize] += 1;
+        }
+        let mut out: Vec<Vec<Live>> = out_deg.into_iter().map(Vec::with_capacity).collect();
+        let mut inn: Vec<Vec<u32>> = in_deg.into_iter().map(Vec::with_capacity).collect();
+        for (i, t) in temps.iter().enumerate() {
+            let (temp, w) = (i as u32, weights[t.a as usize]);
+            out[t.from as usize].push(Live {
+                node: t.to,
+                temp,
+                w,
+            });
+            inn[t.to as usize].push(t.from);
+        }
+        Core {
+            temps,
+            out,
+            inn,
+            depth: vec![0; n],
+        }
+    }
+
+    /// Records the shortcut `u → x` through a contracted middle node,
+    /// given the live entries `ui` (in-neighbour `u`) and `xo`
+    /// (out-neighbour `x`) of that node. The temp is always kept for
+    /// assembly; the rows take it only if it is strictly cheaper than
+    /// the live `u → x` edge (a tie keeps the older, lower temp).
+    fn add_shortcut(&mut self, ui: &Live, xo: &Live) {
+        let temp = self.temps.len() as u32;
+        let w = ui.w.saturating_add(xo.w);
+        self.temps.push(Temp {
+            from: ui.node,
+            to: xo.node,
+            a: ui.temp,
+            b: xo.temp,
+        });
+        let row = &mut self.out[ui.node as usize];
+        match row.iter_mut().find(|e| e.node == xo.node) {
+            Some(e) if w < e.w => {
+                *e = Live {
+                    node: xo.node,
+                    temp,
+                    w,
+                }
+            }
+            Some(_) => {}
+            None => {
+                row.push(Live {
+                    node: xo.node,
+                    temp,
+                    w,
+                });
+                self.inn[xo.node as usize].push(ui.node);
             }
         }
     }
 
-    /// Live in-neighbors of `v` as `(tail, weight, temp)` with parallel
-    /// edges collapsed to the cheapest, sorted by tail for determinism.
-    fn live_in(&self, v: usize) -> Vec<(u32, Cost, u32)> {
-        let mut best: HashMap<u32, (Cost, u32)> = HashMap::new();
-        for &t in &self.inn[v] {
-            let e = &self.temps[t as usize];
-            if self.contracted[e.from as usize] {
-                continue;
-            }
-            match best.entry(e.from) {
-                Entry::Occupied(mut o) => {
-                    if (e.w, t) < *o.get() {
-                        o.insert((e.w, t));
-                    }
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert((e.w, t));
-                }
-            }
-        }
-        let mut live: Vec<_> = best.into_iter().map(|(u, (w, t))| (u, w, t)).collect();
-        live.sort_unstable_by_key(|&(u, _, _)| u);
-        live
+    /// The live out-edges of `v` into `buf`, sorted by head: the order
+    /// every contraction loop walks, so shortcuts get deterministic
+    /// temp ids.
+    fn live_out(&self, v: usize, buf: &mut Vec<Live>) {
+        buf.clear();
+        buf.extend_from_slice(&self.out[v]);
+        buf.sort_unstable_by_key(|e| e.node);
     }
 
-    /// Live out-neighbors of `v`, mirror of [`Builder::live_in`].
-    fn live_out(&self, v: usize) -> Vec<(u32, Cost, u32)> {
-        let mut best: HashMap<u32, (Cost, u32)> = HashMap::new();
-        for &t in &self.out[v] {
-            let e = &self.temps[t as usize];
-            if self.contracted[e.to as usize] {
-                continue;
+    /// The live in-edges of `v` into `buf` as `(tail, temp, weight)`,
+    /// sorted by tail.
+    fn live_in(&self, v: usize, buf: &mut Vec<Live>) {
+        buf.clear();
+        buf.extend(self.inn[v].iter().map(|&u| {
+            let e = self.out[u as usize].iter().find(|e| e.node as usize == v);
+            Live {
+                node: u,
+                ..*e.expect("in-rows mirror out-rows")
             }
-            match best.entry(e.to) {
-                Entry::Occupied(mut o) => {
-                    if (e.w, t) < *o.get() {
-                        o.insert((e.w, t));
-                    }
-                }
-                Entry::Vacant(slot) => {
-                    slot.insert((e.w, t));
-                }
-            }
+        }));
+        buf.sort_unstable_by_key(|e| e.node);
+    }
+}
+
+/// Removes the entry `is_v` picks from `row` (order within a row
+/// carries no meaning).
+fn unlink<T>(row: &mut Vec<T>, is_v: impl Fn(&T) -> bool) {
+    if let Some(i) = row.iter().position(is_v) {
+        row.swap_remove(i);
+    }
+}
+
+/// Witness-search scratch, kept apart from the [`Core`] so that
+/// several searches can read one core at once (the first priority
+/// pass). Generation-stamped, so each search starts clean without
+/// clearing the arrays.
+struct Witness {
+    dist: Vec<Cost>,
+    stamp: Vec<u32>,
+    gen: u32,
+    heap: BinaryHeap<Reverse<(Cost, u32)>>,
+    // Multi-target marks for one witness search deciding many pairs.
+    tgt_limit: Vec<Cost>,
+    tgt_idx: Vec<u32>,
+    tgt_stamp: Vec<u32>,
+    mark: Vec<bool>,
+    // Reused live-neighbour buffers of the node being weighed.
+    ins: Vec<Live>,
+    outs: Vec<Live>,
+}
+
+impl Witness {
+    fn new(n: usize) -> Witness {
+        Witness {
+            dist: vec![0; n],
+            stamp: vec![0; n],
+            gen: 0,
+            heap: BinaryHeap::new(),
+            tgt_limit: vec![0; n],
+            tgt_idx: vec![0; n],
+            tgt_stamp: vec![0; n],
+            mark: Vec::new(),
+            ins: Vec::new(),
+            outs: Vec::new(),
         }
-        let mut live: Vec<_> = best.into_iter().map(|(u, (w, t))| (u, w, t)).collect();
-        live.sort_unstable_by_key(|&(u, _, _)| u);
-        live
     }
 
-    /// One bounded local Dijkstra from `u` through the live core
-    /// (skipping `excluded`) that decides *every* `(u, out)` pair of a
-    /// contraction at once: `witnessed[i]` is set when a path to
-    /// `outs[i]` of cost at most `wi + outs[i].weight` is proven. Each
-    /// target is decided at settle time (exact within the searched
-    /// core), and the search stops once all targets are settled, the
-    /// frontier passes the largest limit, or the settle budget runs
-    /// out. Targets left undecided stay `false` — inconclusive searches
-    /// just cost an extra shortcut, never correctness. Running one
-    /// search per in-neighbor instead of one per pair is what keeps
-    /// contraction of high-degree hubs (network stars) tractable.
+    /// One bounded local Dijkstra from the in-neighbour `src.node`
+    /// through the live core rows `out` (skipping `excluded`) that
+    /// decides *every* `(src, out)` pair of a contraction at once:
+    /// `witnessed[i]` is set when a path to `outs[i]` of cost at most
+    /// `src.w + outs[i].w` is proven. Each target is decided at settle
+    /// time (exact within the searched core), and the search stops once
+    /// all targets are settled, the frontier passes the largest limit,
+    /// or the settle budget runs out. Targets left undecided stay
+    /// `false` — inconclusive searches just cost an extra shortcut,
+    /// never correctness. Running one search per in-neighbor instead of
+    /// one per pair is what keeps contraction of high-degree hubs
+    /// (network stars) tractable.
+    ///
+    /// A row holds only the cheapest edge per neighbour, and a dearer
+    /// parallel edge could only have pushed a stale heap entry, so the
+    /// settle sequence — and with it every budget cut-off — is the one
+    /// a search over all parallel edges makes.
     fn witness_many(
         &mut self,
-        u: usize,
-        wi: Cost,
-        outs: &[(u32, Cost, u32)],
+        out: &[Vec<Live>],
+        src: &Live,
+        outs: &[Live],
         excluded: usize,
         base_budget: usize,
         witnessed: &mut [bool],
     ) {
-        self.wit_gen = self.wit_gen.wrapping_add(1);
-        if self.wit_gen == 0 {
-            self.wit_stamp.fill(0);
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            self.stamp.fill(0);
             self.tgt_stamp.fill(0);
-            self.wit_gen = 1;
+            self.gen = 1;
         }
-        let gen = self.wit_gen;
+        let gen = self.gen;
+        let (u, wi) = (src.node as usize, src.w);
         let mut remaining = 0usize;
         let mut horizon: Cost = 0;
-        for (i, &(x, wo, _)) in outs.iter().enumerate() {
-            if x as usize == u {
+        for (i, o) in outs.iter().enumerate() {
+            let x = o.node as usize;
+            if x == u {
                 continue; // not a pair; no shortcut ever needed
             }
-            let limit = wi.saturating_add(wo);
-            self.tgt_limit[x as usize] = limit;
-            self.tgt_idx[x as usize] = i as u32;
-            self.tgt_stamp[x as usize] = gen;
+            let limit = wi.saturating_add(o.w);
+            self.tgt_limit[x] = limit;
+            self.tgt_idx[x] = i as u32;
+            self.tgt_stamp[x] = gen;
             remaining += 1;
             if limit > horizon {
                 horizon = limit;
@@ -571,14 +641,14 @@ impl Builder {
             return;
         }
         let budget = base_budget + 2 * outs.len();
-        self.wit_heap.clear();
-        self.wit_dist[u] = 0;
-        self.wit_stamp[u] = gen;
-        self.wit_heap.push(Reverse((0, u as u32)));
+        self.heap.clear();
+        self.dist[u] = 0;
+        self.stamp[u] = gen;
+        self.heap.push(Reverse((0, u as u32)));
         let mut settles = 0usize;
-        while let Some(Reverse((d, x))) = self.wit_heap.pop() {
+        while let Some(Reverse((d, x))) = self.heap.pop() {
             let xi = x as usize;
-            if d > self.wit_dist[xi] {
+            if d > self.dist[xi] {
                 continue; // stale heap entry
             }
             if d > horizon {
@@ -598,20 +668,19 @@ impl Builder {
             if settles > budget {
                 return;
             }
-            for &t in &self.out[xi] {
-                let e = &self.temps[t as usize];
-                let y = e.to as usize;
-                if y == excluded || self.contracted[y] {
+            for e in &out[xi] {
+                let y = e.node as usize;
+                if y == excluded {
                     continue;
                 }
                 let nd = d.saturating_add(e.w);
                 if nd > horizon {
                     continue;
                 }
-                if self.wit_stamp[y] != gen || nd < self.wit_dist[y] {
-                    self.wit_stamp[y] = gen;
-                    self.wit_dist[y] = nd;
-                    self.wit_heap.push(Reverse((nd, y as u32)));
+                if self.stamp[y] != gen || nd < self.dist[y] {
+                    self.stamp[y] = gen;
+                    self.dist[y] = nd;
+                    self.heap.push(Reverse((nd, y as u32)));
                 }
             }
         }
@@ -619,96 +688,182 @@ impl Builder {
 
     /// Edge-difference priority of contracting `v` now: shortcuts the
     /// contraction would add, minus the live edges it removes, plus the
-    /// depth term. Lower contracts earlier.
-    fn priority(&mut self, v: usize) -> i64 {
-        let ins = self.live_in(v);
-        let outs = self.live_out(v);
+    /// depth term. Lower contracts earlier. A pure function of `core`:
+    /// this scratch only makes it cheaper.
+    fn priority(&mut self, core: &Core, v: usize) -> i64 {
+        let mut ins = std::mem::take(&mut self.ins);
+        let mut outs = std::mem::take(&mut self.outs);
+        core.live_in(v, &mut ins);
+        core.live_out(v, &mut outs);
         let removed = ins.len() + outs.len();
         let pairs = ins
             .iter()
-            .map(|&(u, _, _)| outs.iter().filter(|&&(x, _, _)| x != u).count())
+            .map(|i| outs.iter().filter(|o| o.node != i.node).count())
             .sum::<usize>();
         let added = if pairs > SIM_PAIR_CAP {
             pairs
         } else {
-            let mut mark = std::mem::take(&mut self.wit_mark);
+            let mut mark = std::mem::take(&mut self.mark);
             let mut added = 0usize;
-            for &(u, wi, _) in &ins {
+            for i in &ins {
                 mark.clear();
                 mark.resize(outs.len(), false);
-                self.witness_many(u as usize, wi, &outs, v, SIM_SETTLE_BUDGET, &mut mark);
-                for (i, &(x, _, _)) in outs.iter().enumerate() {
-                    if x != u && !mark[i] {
-                        added += 1;
-                    }
-                }
+                self.witness_many(&core.out, i, &outs, v, SIM_SETTLE_BUDGET, &mut mark);
+                added += outs
+                    .iter()
+                    .zip(&mark)
+                    .filter(|&(o, &m)| o.node != i.node && !m)
+                    .count();
             }
-            self.wit_mark = mark;
+            self.mark = mark;
             added
         };
-        added as i64 - removed as i64 + i64::from(self.depth[v])
+        self.ins = ins;
+        self.outs = outs;
+        added as i64 - removed as i64 + i64::from(core.depth[v])
+    }
+}
+
+/// Upper bound on the threads of the first priority pass: each brings
+/// its own `O(n)` witness scratch, and past a handful the pass is too
+/// short for more to pay.
+const MAX_PRIORITY_THREADS: usize = 8;
+/// Nodes per unit of work dealt to the first-pass threads.
+const PRIORITY_BLOCK: usize = 64;
+
+/// Builder state: the core graph being contracted, one witness scratch
+/// for the sequential contraction loop, and the order so far.
+///
+/// Two things keep the construction cheap:
+/// - **Eager pruning.** A [`Core`] row keeps one entry per live
+///   neighbour with the weight inline, updated in place when a cheaper
+///   shortcut arrives, and a contracted node leaves its neighbours'
+///   rows at once. Witness searches and priorities read only live
+///   edges; a layout that kept every temp and skipped dead ones spent
+///   over 40% of its adjacency scans on them on the paper-scale world.
+/// - **A parallel first pass.** The initial priority of every node
+///   reads only the seeded core, so [`Builder::first_priorities`]
+///   weighs the nodes on several threads; the contraction loop after
+///   it stays sequential.
+///
+/// Neither changes the hierarchy. A row holds exactly the edge the
+/// construction picks among parallel temps (the cheapest, ties to the
+/// lower temp id), a witness search settles the same nodes in the same
+/// order whether or not the dearer parallel edges are there, every
+/// shortcut still gets its own temp id in creation order, and each
+/// first-pass priority is a pure function of the seeded core, so the
+/// thread count cannot move it.
+struct Builder {
+    core: Core,
+    wit: Witness,
+    contracted: Vec<bool>,
+    rank: Vec<u32>,
+}
+
+impl Builder {
+    fn new(f: &FrozenGraph, weights: &[Cost]) -> Builder {
+        let n = f.node_count();
+        Builder {
+            core: Core::seed(f, weights),
+            wit: Witness::new(n),
+            contracted: vec![false; n],
+            rank: vec![0; n],
+        }
     }
 
-    fn contract(&mut self, v: usize, next_rank: &mut u32) {
-        let ins = self.live_in(v);
-        let outs = self.live_out(v);
-        let mut mark = std::mem::take(&mut self.wit_mark);
-        for &(u, wi, ti) in &ins {
+    /// The priority of every node in the seeded core. Blocks of
+    /// [`PRIORITY_BLOCK`] nodes are dealt round-robin to up to
+    /// `threads` threads (ids cluster hubs, so dealing balances the
+    /// work), each weighing its blocks with its own witness scratch
+    /// over the shared, read-only core. Every scratch is allocated
+    /// here, so the workers allocate next to nothing.
+    fn first_priorities(&mut self, threads: usize) -> Vec<i64> {
+        let n = self.contracted.len();
+        let mut prio = vec![0i64; n];
+        let threads = threads.min(n.div_ceil(PRIORITY_BLOCK)).max(1);
+        let mut shares: Vec<Vec<(usize, &mut [i64])>> = (0..threads).map(|_| Vec::new()).collect();
+        for (i, block) in prio.chunks_mut(PRIORITY_BLOCK).enumerate() {
+            shares[i % threads].push((i * PRIORITY_BLOCK, block));
+        }
+        let mut scratch: Vec<Witness> = (1..threads).map(|_| Witness::new(n)).collect();
+        let core = &self.core;
+        let weigh = |wit: &mut Witness, share: Vec<(usize, &mut [i64])>| {
+            for (first, block) in share {
+                for (k, p) in block.iter_mut().enumerate() {
+                    *p = wit.priority(core, first + k);
+                }
+            }
+        };
+        let mut shares = shares.into_iter();
+        let own = shares.next().expect("at least one share");
+        std::thread::scope(|s| {
+            for (wit, share) in scratch.iter_mut().zip(shares) {
+                s.spawn(move || weigh(wit, share));
+            }
+            weigh(&mut self.wit, own);
+        });
+        prio
+    }
+
+    fn contract(&mut self, v: usize, rank: u32) {
+        let Builder { core, wit, .. } = self;
+        let mut ins = std::mem::take(&mut wit.ins);
+        let mut outs = std::mem::take(&mut wit.outs);
+        let mut mark = std::mem::take(&mut wit.mark);
+        core.live_in(v, &mut ins);
+        core.live_out(v, &mut outs);
+        for i in &ins {
             mark.clear();
             mark.resize(outs.len(), false);
-            self.witness_many(u as usize, wi, &outs, v, WITNESS_SETTLE_BUDGET, &mut mark);
-            for (i, &(x, wo, to)) in outs.iter().enumerate() {
-                if x == u || mark[i] {
-                    continue;
+            wit.witness_many(&core.out, i, &outs, v, WITNESS_SETTLE_BUDGET, &mut mark);
+            for (o, &m) in outs.iter().zip(&mark) {
+                if o.node != i.node && !m {
+                    core.add_shortcut(i, o);
                 }
-                let t = self.temps.len() as u32;
-                self.temps.push(Temp {
-                    from: u,
-                    to: x,
-                    w: wi.saturating_add(wo),
-                    a: ti,
-                    b: to,
-                });
-                self.out[u as usize].push(t);
-                self.inn[x as usize].push(t);
             }
         }
-        self.wit_mark = mark;
+        let vid = v as u32;
+        let d = core.depth[v] + 1;
+        for i in &ins {
+            unlink(&mut core.out[i.node as usize], |e| e.node == vid);
+            let dd = &mut core.depth[i.node as usize];
+            *dd = (*dd).max(d);
+        }
+        for o in &outs {
+            unlink(&mut core.inn[o.node as usize], |&u| u == vid);
+            let dd = &mut core.depth[o.node as usize];
+            *dd = (*dd).max(d);
+        }
+        core.out[v] = Vec::new();
+        core.inn[v] = Vec::new();
+        wit.ins = ins;
+        wit.outs = outs;
+        wit.mark = mark;
         self.contracted[v] = true;
-        self.rank[v] = *next_rank;
-        *next_rank += 1;
-        let d = self.depth[v] + 1;
-        for &(u, _, _) in &ins {
-            let dd = &mut self.depth[u as usize];
-            if *dd < d {
-                *dd = d;
-            }
-        }
-        for &(x, _, _) in &outs {
-            let dd = &mut self.depth[x as usize];
-            if *dd < d {
-                *dd = d;
-            }
-        }
+        self.rank[v] = rank;
     }
 
     /// Contracts every node in priority order with lazy re-evaluation:
     /// a popped node whose recomputed priority no longer beats the heap
-    /// top is pushed back instead of contracted.
+    /// top is pushed back instead of contracted. Heap keys are distinct
+    /// (node ids differ, and a node only returns with a higher
+    /// priority), so the pop order does not depend on how the heap was
+    /// filled.
     fn contract_all(&mut self) {
-        let n = self.contracted.len();
-        let mut heap: BinaryHeap<Reverse<(i64, u32)>> = BinaryHeap::with_capacity(n);
-        for v in 0..n {
-            let p = self.priority(v);
-            heap.push(Reverse((p, v as u32)));
-        }
+        let threads = std::thread::available_parallelism().map_or(1, |p| p.get());
+        let first = self.first_priorities(threads.min(MAX_PRIORITY_THREADS));
+        let mut heap: BinaryHeap<Reverse<(i64, u32)>> = first
+            .into_iter()
+            .enumerate()
+            .map(|(v, p)| Reverse((p, v as u32)))
+            .collect();
         let mut next_rank = 0u32;
         while let Some(Reverse((p, v))) = heap.pop() {
             let vi = v as usize;
             if self.contracted[vi] {
                 continue;
             }
-            let p2 = self.priority(vi);
+            let p2 = self.wit.priority(&self.core, vi);
             if p2 > p {
                 if let Some(&Reverse((top, _))) = heap.peek() {
                     if p2 > top {
@@ -717,15 +872,22 @@ impl Builder {
                     }
                 }
             }
-            self.contract(vi, &mut next_rank);
+            self.contract(vi, next_rank);
+            next_rank += 1;
         }
     }
 
     /// Partitions the temp edges into the two CSR halves (counting sort
-    /// in temp-id order, so rows come out deterministic) and remaps
-    /// shortcut children from temp ids to final refs.
-    fn assemble(self, n: usize) -> ChIndex {
-        let Builder { temps, rank, .. } = self;
+    /// in temp-id order, so rows come out deterministic), remaps
+    /// shortcut children from temp ids to final refs, and weighs each
+    /// edge: an original by `weights`, a shortcut by its two halves.
+    fn assemble(self, weights: &[Cost]) -> ChIndex {
+        // Drop the rows and the scratch before the halves are allocated.
+        let (temps, rank) = {
+            let b = self;
+            (b.core.temps, b.rank)
+        };
+        let n = rank.len();
         let mut up_row = vec![0u32; n + 1];
         let mut down_row = vec![0u32; n + 1];
         for t in &temps {
@@ -752,34 +914,33 @@ impl Builder {
         let mut down_a = vec![0u32; down_count];
         let mut down_b = vec![0u32; down_count];
         let mut temp_ref = vec![0u32; temps.len()];
+        // Temp order places both halves of a shortcut before it, so
+        // their refs and weights are already final.
         for (ti, t) in temps.iter().enumerate() {
+            let (a, b, w) = if t.b == CH_ORIGINAL {
+                (t.a, CH_ORIGINAL, weights[t.a as usize])
+            } else {
+                let (a, b) = (temp_ref[t.a as usize], temp_ref[t.b as usize]);
+                let half = |r: u32| {
+                    let r = r as usize;
+                    if r < up_count {
+                        up_w[r]
+                    } else {
+                        down_w[r - up_count]
+                    }
+                };
+                (a, b, half(a).saturating_add(half(b)))
+            };
             if rank[t.from as usize] < rank[t.to as usize] {
                 let s = up_cur[t.from as usize] as usize;
                 up_cur[t.from as usize] += 1;
-                up_to[s] = t.to;
-                up_w[s] = t.w;
+                (up_to[s], up_w[s], up_a[s], up_b[s]) = (t.to, w, a, b);
                 temp_ref[ti] = s as u32;
             } else {
                 let s = down_cur[t.to as usize] as usize;
                 down_cur[t.to as usize] += 1;
-                down_from[s] = t.from;
-                down_w[s] = t.w;
+                (down_from[s], down_w[s], down_a[s], down_b[s]) = (t.from, w, a, b);
                 temp_ref[ti] = (up_count + s) as u32;
-            }
-        }
-        for (ti, t) in temps.iter().enumerate() {
-            let (a, b) = if t.b == CH_ORIGINAL {
-                (t.a, CH_ORIGINAL)
-            } else {
-                (temp_ref[t.a as usize], temp_ref[t.b as usize])
-            };
-            let r = temp_ref[ti] as usize;
-            if r < up_count {
-                up_a[r] = a;
-                up_b[r] = b;
-            } else {
-                down_a[r - up_count] = a;
-                down_b[r - up_count] = b;
             }
         }
         ChIndex {
@@ -795,14 +956,6 @@ impl Builder {
             down_a,
             down_b,
         }
-    }
-}
-
-impl FrozenGraph {
-    /// Builds a contraction hierarchy over this graph and the given
-    /// per-edge weights (see [`ChIndex::build`]).
-    pub fn contraction_hierarchy(&self, weights: &[Cost]) -> ChIndex {
-        ChIndex::build(self, weights)
     }
 }
 
@@ -927,10 +1080,10 @@ mod tests {
         Some((cost, path))
     }
 
-    fn world(seed: u64, hosts: usize, extra: usize) -> FrozenGraph {
+    /// A connected ring plus pseudo-random chords.
+    fn ring_and_chords(seed: u64, hosts: usize, extra: usize) -> (Graph, Vec<NodeId>) {
         let mut g = Graph::new();
         let ids: Vec<_> = (0..hosts).map(|i| g.node(&format!("h{i}"))).collect();
-        // A connected ring plus pseudo-random chords.
         for i in 0..hosts {
             g.declare_link(
                 ids[i],
@@ -950,7 +1103,46 @@ mod tests {
                 g.declare_link(ids[a], ids[b], 50 + (s % 900), RouteOp::UUCP);
             }
         }
+        (g, ids)
+    }
+
+    fn world(seed: u64, hosts: usize, extra: usize) -> FrozenGraph {
+        ring_and_chords(seed, hosts, extra).0.freeze()
+    }
+
+    /// [`world`] plus a hub linked to and from every host, so its
+    /// `in × out` pairs start far above [`SIM_PAIR_CAP`]. The spokes
+    /// are dear enough that the chords, not the hub, decide most
+    /// witness searches.
+    fn hub_world(seed: u64, hosts: usize, extra: usize) -> FrozenGraph {
+        let (mut g, ids) = ring_and_chords(seed, hosts, extra);
+        let hub = g.node("hub");
+        for (i, &h) in ids.iter().enumerate() {
+            let w = 2000 + (i as u64 * 37 % 11) * 100;
+            g.declare_link(hub, h, w, RouteOp::UUCP);
+            g.declare_link(h, hub, w + 50, RouteOp::UUCP);
+        }
         g.freeze()
+    }
+
+    /// Whether some `(tail, head)` pair carries two shortcuts of
+    /// different weights: a later contraction offered the pair again,
+    /// cheaper, and the live row swapped the new edge in.
+    fn repeated_shortcut(ch: &ChIndex) -> bool {
+        let mut seen: HashMap<(u32, u32), Cost> = HashMap::new();
+        let mut repeated = false;
+        for v in 0..ch.node_count() as u32 {
+            let id = NodeId::from_raw(v);
+            let up = ch.up_edges(id).map(|e| (v, e.node.raw(), e));
+            let down = ch.down_into(id).map(|e| (e.node.raw(), v, e));
+            for (t, h, e) in up.chain(down) {
+                let (_, b) = ch.parts(e.edge as usize).expect("ref in range");
+                if b != CH_ORIGINAL {
+                    repeated |= *seen.entry((t, h)).or_insert(e.weight) != e.weight;
+                }
+            }
+        }
+        repeated
     }
 
     fn plain_weights(f: &FrozenGraph) -> Vec<Cost> {
@@ -959,12 +1151,27 @@ mod tests {
 
     #[test]
     fn ch_distances_match_dijkstra_everywhere() {
-        for seed in [3, 17, 99] {
-            let f = world(seed, 24, 40);
+        let worlds = [3, 17, 99].map(|seed| (seed, world(seed, 24, 40)));
+        let hubs = [30, 81].map(|seed| (seed, hub_world(seed, 30, 50)));
+        for (seed, f) in worlds.into_iter().chain(hubs) {
             let w = plain_weights(&f);
             let ch = ChIndex::build(&f, &w);
             assert!(ch.validate_against(&f));
             assert!(ch.weights_consistent(&w));
+            if let Some(hub) = f.id_of("hub") {
+                let hub = hub.index();
+                let ins = (0..f.node_count())
+                    .filter(|&u| f.row(u).any(|e| f.edges[e].to as usize == hub))
+                    .count();
+                assert!(
+                    ins * f.row(hub).len() > SIM_PAIR_CAP,
+                    "seed {seed}: hub too small"
+                );
+                assert!(
+                    repeated_shortcut(&ch),
+                    "seed {seed}: no pair got a second, cheaper shortcut"
+                );
+            }
             let n = f.node_count();
             for src in 0..n {
                 let want = dijkstra(&f, &w, src);
@@ -990,6 +1197,58 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_shortcut_replaces_a_live_edge_only_when_cheaper() {
+        // a → b at 100 beside a → m → b at 60 + 40: contracting m
+        // offers a → b again, first at a tie, then cheaper.
+        let mut g = Graph::new();
+        let (a, m, b) = (g.node("a"), g.node("m"), g.node("b"));
+        g.declare_link(a, b, 100, RouteOp::UUCP);
+        g.declare_link(a, m, 60, RouteOp::UUCP);
+        g.declare_link(m, b, 40, RouteOp::UUCP);
+        let f = g.freeze();
+        let mut core = Core::seed(&f, &plain_weights(&f));
+        let (a, m, b) = (a.index(), m.index(), b.index());
+        let live = |core: &Core, from: usize, to: usize| {
+            *core.out[from]
+                .iter()
+                .find(|e| e.node as usize == to)
+                .expect("live edge")
+        };
+        let direct = live(&core, a, b);
+        let into_m = Live {
+            node: a as u32,
+            ..live(&core, a, m)
+        };
+        let out_of_m = live(&core, m, b);
+        core.add_shortcut(&into_m, &out_of_m);
+        assert_eq!(
+            live(&core, a, b).temp,
+            direct.temp,
+            "a tie keeps the older edge"
+        );
+        core.add_shortcut(&into_m, &Live { w: 30, ..out_of_m });
+        let now = live(&core, a, b);
+        assert_eq!((now.temp, now.w), (4, 90), "a cheaper offer takes the row");
+        assert_eq!(core.temps.len(), 5, "assembly still gets every offer");
+        assert_eq!(core.out[a].len(), 2);
+        assert_eq!(core.inn[b].iter().filter(|&&u| u as usize == a).count(), 1);
+    }
+
+    #[test]
+    fn first_priorities_do_not_depend_on_the_thread_count() {
+        let f = world(11, 700, 1400);
+        let w = plain_weights(&f);
+        let one = Builder::new(&f, &w).first_priorities(1);
+        for threads in [2, 3, MAX_PRIORITY_THREADS] {
+            assert_eq!(
+                Builder::new(&f, &w).first_priorities(threads),
+                one,
+                "{threads} threads"
+            );
         }
     }
 

@@ -5,7 +5,7 @@
 //! oracle, the pruned bidirectional search, and the contraction-
 //! hierarchy tier must all agree with each other exactly.
 
-use pathalias_graph::{FrozenGraph, NodeId};
+use pathalias_graph::{ChIndex, EdgeId, FrozenGraph, NodeId};
 use pathalias_mapgen::{generate, MapSpec};
 use pathalias_mapper::{map_frozen, map_frozen_readonly, CostModel, MapOptions};
 use pathalias_printer::compute_routes;
@@ -317,6 +317,39 @@ proptest! {
     }
 }
 
+/// FNV-1a digest of a hierarchy through its public API: every node's
+/// rank, then every upward and downward edge (far node, weight, ref)
+/// with the original-edge path its ref unpacks to. Two hierarchies
+/// with the same digest serve the same searches and unpack the same
+/// routes.
+fn hierarchy_digest(ch: &ChIndex) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |x: u64| {
+        for b in x.to_le_bytes() {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let nodes = || (0..ch.node_count() as u32).map(NodeId::from_raw);
+    for v in nodes() {
+        eat(u64::from(ch.rank_of(v)));
+    }
+    let mut path: Vec<EdgeId> = Vec::new();
+    for v in nodes() {
+        for e in ch.up_edges(v).chain(ch.down_into(v)) {
+            eat(u64::from(e.node.raw()));
+            eat(e.weight);
+            eat(u64::from(e.edge));
+            path.clear();
+            assert!(ch.unpack_into(e.edge, &mut path), "ref {} unpacks", e.edge);
+            eat(path.len() as u64);
+            for id in &path {
+                eat(u64::from(id.raw()));
+            }
+        }
+    }
+    h
+}
+
 /// The paper-scale world: full parity from the home on a sampled
 /// destination set, and the pruner must actually prune.
 #[test]
@@ -325,6 +358,20 @@ fn paper_scale_parity_and_pruning() {
     let (aug, engine, ch_engine) =
         serving_world(&map.concatenated(), &map.home, CostModel::default());
     let home = aug.id_of(&map.home).expect("home survives");
+    let ch = ch_engine.hierarchy().expect("engine carries a hierarchy");
+    // Pinned when the builder's working state was rewritten: the
+    // construction may get cheaper, but the hierarchy it builds over
+    // this world must not move by a byte.
+    assert_eq!(
+        (ch.up_count(), ch.down_count(), ch.shortcut_count()),
+        (16_645, 16_716, 7_304),
+        "paper-scale hierarchy shape"
+    );
+    assert_eq!(
+        hierarchy_digest(ch),
+        0x89c1_59af_1fa8_de49,
+        "paper-scale hierarchy digest"
+    );
     assert_parity_from(&aug, &engine, &ch_engine, home, 97);
     // A second perspective from an arbitrary mid-map host.
     let other = NodeId::from_raw((aug.node_count() / 2) as u32);

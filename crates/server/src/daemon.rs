@@ -469,6 +469,7 @@ impl State {
                     .field("generation", generation)
                     .field("entries", entries)
                     .field("duration_ms", ns / 1_000_000)
+                    .field("engine_ms", phases.engine.as_millis())
                     .emit();
                 Response::Reloaded {
                     map: wire_name,
@@ -740,6 +741,7 @@ impl State {
                     ("freeze", t.freeze),
                     ("map", t.map),
                     ("print", t.print),
+                    ("engine", t.engine),
                 ];
                 for (phase, duration) in phases {
                     out.sample_f64(
@@ -851,7 +853,7 @@ impl Server {
         let mut maps = Vec::with_capacity(config.maps.len());
         for (name, source) in config.maps {
             let start = Instant::now();
-            let (resolver, engine, _) =
+            let (resolver, engine, phases) =
                 source
                     .load_serving_timed()
                     .map_err(|error| StartError::Load {
@@ -864,6 +866,7 @@ impl Server {
                 .field("source", source.kind())
                 .field("entries", resolver.entries())
                 .field("duration_ms", start.elapsed().as_millis())
+                .field("engine_ms", phases.engine.as_millis())
                 .emit();
             let metrics = Arc::new(Metrics::default());
             let capacity = config

@@ -149,19 +149,23 @@ struct DeltaBasis {
 impl ServingState {
     /// Assembles what a mapping run over `frozen` serves: `db` when
     /// the table is already being served, else a resolver over
-    /// `printed`, and the engine by [`engine_for`]'s rule. The engine
-    /// and the table come from the *same* mapping run, so they can
-    /// never disagree about what the world looks like.
+    /// `printed`, and the engine by [`engine_for`]'s rule, whose time
+    /// goes into `timings.engine`. The engine and the table come from
+    /// the *same* mapping run, so they can never disagree about what
+    /// the world looks like.
     fn new(
         frozen: &Frozen,
         options: &Options,
         mapped: &Mapped,
         printed: &Printed,
         db: Option<SharedRouteDb>,
+        timings: &mut PhaseTimings,
     ) -> ServingState {
         // The engine first: a hierarchy build is the load's memory
         // peak, and the resolver need not be resident during it.
+        let t0 = Instant::now();
         let engine = engine_for(frozen, mapped.tree.frozen(), options.cost_model);
+        timings.engine = t0.elapsed();
         let db = db.unwrap_or_else(|| SharedRouteDb::new(RouteDb::from_table(&printed.routes)));
         ServingState {
             options: options.clone(),
@@ -469,7 +473,7 @@ fn full_reload(
     if !g.node_ids().any(|id| g.is_mappable(id) && !g.is_net(id)) {
         return Err(LoadError::Validation("rebuilt map has no hosts".into()));
     }
-    let serving = ServingState::new(&frozen, options, &mapped, &printed, None);
+    let serving = ServingState::new(&frozen, options, &mapped, &printed, None, &mut timings);
     let basis = parsed.map(|parsed| DeltaBasis {
         parsed,
         mapped: Arc::new(mapped),
@@ -487,11 +491,14 @@ fn full_reload(
 /// The point-to-point engine over `graph`, the graph a mapping run
 /// over `frozen` ended on. Back-link invention replaces the snapshot
 /// graph; only when the run ended on the very same graph are the
-/// stage's stored sections (transpose, hierarchy) valid. A stage that
-/// carried a hierarchy is an operator opt-in (`freeze --ch`), so when
-/// back links changed the graph the hierarchy is rebuilt over the
-/// augmented snapshot rather than silently lost. Stages patched by
-/// the incremental path carry no sections, so they get a plain
+/// stage's stored sections (transpose, hierarchy) valid, and only then
+/// does a `freeze --ch` snapshot save the load any work. A stage that
+/// carried a hierarchy is an operator opt-in, so when back links
+/// changed the graph the hierarchy is rebuilt over the augmented
+/// snapshot rather than silently lost: the load then pays a full
+/// [`ChIndex::build`](pathalias_core::ChIndex::build) (seconds on the
+/// paper-scale world, reported as the `engine` phase). Stages patched
+/// by the incremental path carry no sections, so they get a plain
 /// engine.
 fn engine_for(frozen: &Frozen, graph: &Arc<FrozenGraph>, model: CostModel) -> PointToPoint {
     let graph = graph.clone();
@@ -674,7 +681,7 @@ fn try_delta_reload(
         dual: None,
         map_time: timings.map,
     };
-    let serving = ServingState::new(&new_frozen, options, &mapped, &printed, db);
+    let serving = ServingState::new(&new_frozen, options, &mapped, &printed, db, &mut timings);
     let next = CachedStages {
         fingerprint: fp.clone(),
         frozen: new_frozen,
@@ -1033,7 +1040,7 @@ mod tests {
         let (_, engine2, t) = source.load_serving_timed().unwrap();
         assert!(Arc::ptr_eq(&engine1, &engine2.unwrap()));
         assert!(
-            [t.parse, t.build, t.freeze, t.map, t.print]
+            [t.parse, t.build, t.freeze, t.map, t.print, t.engine]
                 .iter()
                 .all(|d| d.is_zero()),
             "a no-op reload runs no phase: {t:?}"

@@ -2,15 +2,17 @@
 //! `SLOWLOG` verbs through [`Client`], cross-signal consistency
 //! between the `STATS` counters and the latency histograms, the
 //! v1-only refusal path, the "errors-only logging means a silent
-//! steady state" guarantee, and the load duration the startup log
-//! reports.
+//! steady state" guarantee, and the load duration and engine build
+//! time the log and the reload phases report.
 
+use pathalias_core::{ChIndex, Options, Parsed};
 use pathalias_server::{
     Client, ClientError, Level, Logger, MapSource, Server, ServerConfig, ServerHandle,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn temp(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!(
@@ -210,8 +212,77 @@ fn map_loaded_reports_how_long_the_load_took() {
         line.contains("map=default source=routes entries=2 duration_ms="),
         "{line}"
     );
-    let ms = line.rsplit("duration_ms=").next().unwrap();
+    let ms = line.split("duration_ms=").nth(1).unwrap();
+    let ms = ms.split(' ').next().unwrap();
     assert!(ms.parse::<u64>().is_ok(), "duration_ms is whole ms: {line}");
     handle.shutdown();
     std::fs::remove_file(east).unwrap();
+}
+
+/// Mapped from `unc`, this world gains a back link (`leaf` names only
+/// `duke`), so the graph a daemon serves is never the frozen one and
+/// a stored hierarchy is rebuilt at every load.
+const BACKLINK_MAP: &str = "unc\tduke(100), phs(400)\nduke\tunc(100), phs(200)\n\
+                            phs\tunc(400), duke(200)\nleaf\tduke(50)\n";
+
+/// What `pathalias freeze --ch` writes for `map`.
+fn write_ch_snapshot(map: &str, path: &Path, options: &Options) {
+    let mut parsed = Parsed::new();
+    parsed.push_str("map", map);
+    let frozen = parsed.build(options).unwrap().freeze();
+    let weights = pathalias_router::ch_weights(frozen.graph(), &options.cost_model);
+    let ch = Arc::new(ChIndex::build(frozen.graph(), &weights));
+    frozen.with_hierarchy(ch).write_snapshot_all(path).unwrap();
+}
+
+/// The `engine` reload phase of the default map, in seconds.
+fn engine_phase(client: &mut Client) -> f64 {
+    let text = client.metrics().unwrap();
+    let series = "pathalias_reload_phase_seconds{map=\"default\",phase=\"engine\"} ";
+    let line = text
+        .lines()
+        .find(|l| l.starts_with(series))
+        .unwrap_or_else(|| panic!("no engine phase in the scrape:\n{text}"));
+    line[series.len()..].parse().unwrap()
+}
+
+#[test]
+fn engine_phase_reports_the_hierarchy_rebuild() {
+    let pagf = temp("engine.pagf");
+    let options = Options {
+        local: Some("unc".into()),
+        ..Default::default()
+    };
+    write_ch_snapshot(BACKLINK_MAP, &pagf, &options);
+    let (logger, buf) = Logger::capture(Level::Info);
+    let mut config =
+        ServerConfig::ephemeral(MapSource::frozen_snapshot(pagf.clone(), options.clone()));
+    config.logger = logger;
+    let handle = Server::start(config).unwrap();
+    let mut client = Client::connect(handle.tcp_addr().unwrap()).unwrap();
+
+    // Unchanged stamps: the cached engine serves, nothing is built.
+    client.reload().unwrap();
+    assert_eq!(engine_phase(&mut client), 0.0);
+
+    // A rewritten snapshot: the back link forces a hierarchy rebuild.
+    std::thread::sleep(std::time::Duration::from_millis(20));
+    let cheaper = BACKLINK_MAP.replace("unc(400), duke(200)", "unc(40), duke(200)");
+    write_ch_snapshot(&cheaper, &pagf, &options);
+    client.reload().unwrap();
+    assert!(engine_phase(&mut client) > 0.0);
+    client.quit().unwrap();
+
+    let out = buf.lock().unwrap().clone();
+    for event in ["event=map_loaded", "event=reload"] {
+        let line = out
+            .lines()
+            .find(|l| l.contains(event))
+            .unwrap_or_else(|| panic!("no {event}: {out}"));
+        let ms = line.split("engine_ms=").nth(1).unwrap_or_default();
+        let ms = ms.split(' ').next().unwrap();
+        assert!(ms.parse::<u64>().is_ok(), "engine_ms is whole ms: {line}");
+    }
+    handle.shutdown();
+    std::fs::remove_file(pagf).unwrap();
 }
